@@ -7,92 +7,3 @@ constraint on the kept coefficients.
 """
 
 __version__ = "0.1.0"
-
-from .generators import gen_ecg_like, gen_pressure_like, gen_respiration_like
-from .sampling import (
-    MeasurementMask,
-    MeasurementSet,
-    draw_mask,
-    embed,
-    mask_from_json,
-    mask_to_json,
-    measure,
-)
-from .signal import (
-    ImageMatrix,
-    Signal1D,
-    SignalFormatError,
-    flatten_to_signal,
-    load_signal_csv,
-    mean_value,
-    reshape_to_image,
-    save_signal_csv,
-)
-from .solver import (
-    GradientField,
-    ReconstructionResult,
-    SolverConfig,
-    SolverFailure,
-    divergence,
-    grad,
-    load_solver_config,
-    project_constraint,
-    reconstruct,
-    tv,
-)
-from .sweep import (
-    SweepReport,
-    SweepRow,
-    SweepSpec,
-    mse,
-    recover_signal,
-    run_sweep,
-    write_report_csv,
-    write_report_sidecar,
-)
-from .transform import DctSpectrum, ZigZagOrder, dct2_forward, dct2_inverse, zigzag_order
-
-__all__ = [
-    "__version__",
-    "DctSpectrum",
-    "GradientField",
-    "ImageMatrix",
-    "MeasurementMask",
-    "MeasurementSet",
-    "ReconstructionResult",
-    "Signal1D",
-    "SignalFormatError",
-    "SolverConfig",
-    "SolverFailure",
-    "SweepReport",
-    "SweepRow",
-    "SweepSpec",
-    "ZigZagOrder",
-    "dct2_forward",
-    "dct2_inverse",
-    "divergence",
-    "draw_mask",
-    "embed",
-    "flatten_to_signal",
-    "gen_ecg_like",
-    "gen_pressure_like",
-    "gen_respiration_like",
-    "grad",
-    "load_signal_csv",
-    "load_solver_config",
-    "mask_from_json",
-    "mask_to_json",
-    "mean_value",
-    "measure",
-    "mse",
-    "project_constraint",
-    "reconstruct",
-    "recover_signal",
-    "reshape_to_image",
-    "run_sweep",
-    "save_signal_csv",
-    "tv",
-    "write_report_csv",
-    "write_report_sidecar",
-    "zigzag_order",
-]

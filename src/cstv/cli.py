@@ -23,6 +23,13 @@ EXIT_USAGE = 1
 EXIT_SOLVER = 2
 EXIT_IO = 3
 
+# signal kind -> (generator, name of its beats or breaths per minute argument)
+GENERATORS = {
+    "ecg": (gen_ecg_like, "bpm"),
+    "pressure": (gen_pressure_like, "beats_per_min"),
+    "respiration": (gen_respiration_like, "breaths_per_min"),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse defaults to exit code 2
@@ -57,7 +64,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic signal CSV")
-    gen.add_argument("--kind", required=True, choices=("ecg", "pressure", "respiration"))
+    gen.add_argument("--kind", required=True, choices=tuple(GENERATORS))
     gen.add_argument("--n", required=True, type=int)
     gen.add_argument("--fs", required=True, type=float)
     gen.add_argument("--bpm", type=float, default=None,
@@ -79,7 +86,7 @@ def _build_parser() -> _Parser:
     swp = sub.add_parser("sweep", help="MSE versus sampling ratio over seeds")
     src = swp.add_mutually_exclusive_group(required=True)
     src.add_argument("--in", dest="infile")
-    src.add_argument("--kind", choices=("ecg", "pressure", "respiration"))
+    src.add_argument("--kind", choices=tuple(GENERATORS))
     swp.add_argument("--n", type=int, default=4096)
     swp.add_argument("--fs", type=float, default=None)
     swp.add_argument("--bpm", type=float, default=None)
@@ -93,20 +100,11 @@ def _build_parser() -> _Parser:
 
 
 def _generate(kind: str, n: int, fs: float | None, bpm: float | None, seed: int) -> Signal1D:
-    if kind == "ecg":
-        kwargs = {} if fs is None else {"fs": fs}
-        if bpm is not None:
-            kwargs["bpm"] = bpm
-        return gen_ecg_like(n, seed=seed, **kwargs)
-    if kind == "pressure":
-        kwargs = {} if fs is None else {"fs": fs}
-        if bpm is not None:
-            kwargs["beats_per_min"] = bpm
-        return gen_pressure_like(n, seed=seed, **kwargs)
+    generator, rate_arg = GENERATORS[kind]
     kwargs = {} if fs is None else {"fs": fs}
     if bpm is not None:
-        kwargs["breaths_per_min"] = bpm
-    return gen_respiration_like(n, seed=seed, **kwargs)
+        kwargs[rate_arg] = bpm
+    return generator(n, seed=seed, **kwargs)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -128,12 +126,11 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     if args.dump_images:
         out_dir = Path(args.dump_images)
         out_dir.mkdir(parents=True, exist_ok=True)
-        original = reshape_to_image(signal)
         bounds = {}
-        lo, hi = write_pgm(original.values, out_dir / "original.pgm")
-        bounds["original"] = {"min": lo, "max": hi}
-        lo, hi = write_pgm(result.image.values, out_dir / "reconstructed.pgm")
-        bounds["reconstructed"] = {"min": lo, "max": hi}
+        for name, values in (("original", reshape_to_image(signal).values),
+                             ("reconstructed", result.image.values)):
+            lo, hi = write_pgm(values, out_dir / f"{name}.pgm")
+            bounds[name] = {"min": lo, "max": hi}
         (out_dir / "bounds.json").write_text(json.dumps(bounds, indent=2) + "\n")
     err = mse(signal, recovered)
     print(f"mse={err!r} iters={result.iters_used} converged={result.converged}")

@@ -7,14 +7,13 @@ a fixed seed, the mask at a higher ratio is a superset of the mask at a
 lower ratio.
 
 The dense measurement matrix is never formed; measuring is just gathering
-spectrum entries at the kept ranks, and embedding scatters them back into
-an otherwise zero spectrum.
+spectrum entries at the kept ranks' positions, and the constraint
+projection overwrites those positions with the measured values.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,12 +24,18 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class MeasurementMask:
-    """Kept zig-zag ranks for a side x side spectrum."""
+    """Kept zig-zag ranks for a side x side spectrum.
+
+    ``rows`` and ``cols`` are the spectrum positions of the kept ranks, in
+    the order of ``kept_ranks``.
+    """
 
     side: int
     kept_ranks: Array
     ratio: float
     seed: int
+    rows: Array = field(init=False, repr=False, compare=False)
+    cols: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ranks = np.asarray(self.kept_ranks, dtype=np.int64)
@@ -47,6 +52,10 @@ class MeasurementMask:
         ranks = np.sort(ranks)
         ranks.setflags(write=False)
         object.__setattr__(self, "kept_ranks", ranks)
+        order = zigzag_order(self.side)
+        for name, positions in (("rows", order.rows[ranks]), ("cols", order.cols[ranks])):
+            positions.setflags(write=False)
+            object.__setattr__(self, name, positions)
 
     @property
     def count(self) -> int:
@@ -96,37 +105,18 @@ def measure(spectrum: DctSpectrum, mask: MeasurementMask) -> MeasurementSet:
     """Gather the spectrum values at the mask's zig-zag ranks."""
     if spectrum.side != mask.side:
         raise ValueError(f"side mismatch: spectrum {spectrum.side}, mask {mask.side}")
-    order = zigzag_order(mask.side)
-    vals = spectrum.coeffs[order.rows[mask.kept_ranks], order.cols[mask.kept_ranks]]
+    vals = spectrum.coeffs[mask.rows, mask.cols]
     return MeasurementSet(mask=mask, values=vals, source_len=spectrum.source_len)
 
 
-def embed(meas: MeasurementSet) -> DctSpectrum:
-    """Zero-filled spectrum carrying only the measured coefficients."""
+def project_constraint(coeffs: Array, meas: MeasurementSet) -> None:
+    """Overwrite the measured positions of a spectrum array in place.
+
+    Idempotent.  With the orthonormal DCT this is the exact Euclidean
+    projection onto the spectra that match the measurements; on a zero
+    array it gives the zero-filled spectrum.
+    """
     side = meas.mask.side
-    order = zigzag_order(side)
-    coeffs = np.zeros((side, side), dtype=np.float64)
-    kept = meas.mask.kept_ranks
-    coeffs[order.rows[kept], order.cols[kept]] = meas.values
-    return DctSpectrum(coeffs, source_len=meas.source_len)
-
-
-def mask_to_json(mask: MeasurementMask) -> str:
-    return json.dumps(
-        {
-            "side": mask.side,
-            "ratio": mask.ratio,
-            "seed": mask.seed,
-            "kept_ranks": mask.kept_ranks.tolist(),
-        }
-    )
-
-
-def mask_from_json(text: str) -> MeasurementMask:
-    obj = json.loads(text)
-    return MeasurementMask(
-        side=int(obj["side"]),
-        kept_ranks=np.asarray(obj["kept_ranks"], dtype=np.int64),
-        ratio=float(obj["ratio"]),
-        seed=int(obj["seed"]),
-    )
+    if coeffs.shape != (side, side):
+        raise ValueError(f"shape mismatch: spectrum {coeffs.shape}, mask side {side}")
+    coeffs[meas.mask.rows, meas.mask.cols] = meas.values

@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .sampling import MeasurementSet
-from .signal import ImageMatrix, _frozen
-from .transform import DctSpectrum, _dct2, _idct2, zigzag_order
+from .sampling import MeasurementSet, project_constraint
+from .signal import ImageMatrix
+from .transform import _dct2, _idct2
 
 Array = np.ndarray
 
@@ -46,30 +46,6 @@ class SolverFailure(RuntimeError):
     def __init__(self, iteration: int, message: str | None = None):
         self.iteration = iteration
         super().__init__(message or f"solver diverged at iteration {iteration}")
-
-
-@dataclass(frozen=True)
-class GradientField:
-    """Forward-difference image gradient; zero on the trailing boundary."""
-
-    gx: Array
-    gy: Array
-
-    def __post_init__(self) -> None:
-        gx = np.asarray(self.gx, dtype=np.float64)
-        gy = np.asarray(self.gy, dtype=np.float64)
-        if gx.shape != gy.shape or gx.ndim != 2 or gx.shape[0] != gx.shape[1]:
-            raise ValueError("gx and gy must be equal square matrices")
-        if not (np.all(np.isfinite(gx)) and np.all(np.isfinite(gy))):
-            raise ValueError("gradient entries must be finite")
-        if gx.shape[0] > 0 and (np.any(gx[-1, :] != 0.0) or np.any(gy[:, -1] != 0.0)):
-            raise ValueError("boundary convention: last row of gx and last column of gy must be zero")
-        object.__setattr__(self, "gx", _frozen(gx))
-        object.__setattr__(self, "gy", _frozen(gy))
-
-    @property
-    def side(self) -> int:
-        return self.gx.shape[0]
 
 
 @dataclass(frozen=True)
@@ -110,7 +86,12 @@ class ReconstructionResult:
     """(iteration, relative primal change, tv) sampled every log_every."""
 
 
-def _grad_arrays(x: Array) -> tuple[Array, Array]:
+def grad(x: Array) -> tuple[Array, Array]:
+    """Per-pixel forward differences down rows (gx) and across columns (gy).
+
+    Zero on the trailing boundary: the last row of gx and the last column
+    of gy.
+    """
     gx = np.zeros_like(x)
     gy = np.zeros_like(x)
     gx[:-1, :] = x[1:, :] - x[:-1, :]
@@ -118,7 +99,9 @@ def _grad_arrays(x: Array) -> tuple[Array, Array]:
     return gx, gy
 
 
-def _div_arrays(gx: Array, gy: Array) -> Array:
+def divergence(gx: Array, gy: Array) -> Array:
+    """Negative adjoint of :func:`grad`:  <grad X, P> == -<X, divergence(P)>
+    for fields P that are zero on the trailing boundary."""
     div = gx.copy()
     div[1:, :] -= gx[:-1, :]
     div += gy
@@ -126,39 +109,12 @@ def _div_arrays(gx: Array, gy: Array) -> Array:
     return div
 
 
-def _tv_value(x: Array) -> float:
+def tv(x: Array) -> float:
+    """Isotropic total variation: sum of per-pixel gradient magnitudes."""
     # math.fsum is exactly rounded, which makes the value independent of
     # summation order and therefore bit-comparable against a loop oracle
-    gx, gy = _grad_arrays(x)
+    gx, gy = grad(x)
     return math.fsum(np.sqrt(gx * gx + gy * gy).ravel())
-
-
-def grad(image: ImageMatrix) -> GradientField:
-    """Per-pixel forward differences down rows (gx) and across columns (gy)."""
-    gx, gy = _grad_arrays(image.values)
-    return GradientField(gx=gx, gy=gy)
-
-
-def divergence(field: GradientField) -> ImageMatrix:
-    """Negative adjoint of :func:`grad`:  <grad X, P> == -<X, divergence(P)>."""
-    div = _div_arrays(field.gx, field.gy)
-    return ImageMatrix(div, source_len=div.size)
-
-
-def tv(image: ImageMatrix) -> float:
-    """Isotropic total variation: sum of per-pixel gradient magnitudes."""
-    return _tv_value(image.values)
-
-
-def project_constraint(spectrum: DctSpectrum, meas: MeasurementSet) -> DctSpectrum:
-    """Overwrite the measured ranks with their measured values. Idempotent."""
-    if spectrum.side != meas.mask.side:
-        raise ValueError(f"side mismatch: spectrum {spectrum.side}, mask {meas.mask.side}")
-    order = zigzag_order(spectrum.side)
-    kept = meas.mask.kept_ranks
-    coeffs = spectrum.coeffs.copy()
-    coeffs[order.rows[kept], order.cols[kept]] = meas.values
-    return DctSpectrum(coeffs, source_len=spectrum.source_len)
 
 
 def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None) -> ReconstructionResult:
@@ -171,12 +127,8 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None) -> Rec
     if config is None:
         config = SolverConfig()
     side = meas.mask.side
-    order = zigzag_order(side)
-    kept = meas.mask.kept_ranks
-    rows, cols = order.rows[kept], order.cols[kept]
-
     spec0 = np.zeros((side, side), dtype=np.float64)
-    spec0[rows, cols] = meas.values
+    project_constraint(spec0, meas)
     x = _idct2(spec0)
     x_bar = x.copy()
     px = np.zeros_like(x)
@@ -190,7 +142,7 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None) -> Rec
     converged = False
 
     for k in range(1, config.max_iters + 1):
-        gx, gy = _grad_arrays(x_bar)
+        gx, gy = grad(x_bar)
         px_new = px + sigma * gx
         py_new = py + sigma * gy
         mag = np.sqrt(px_new * px_new + py_new * py_new)
@@ -201,9 +153,9 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None) -> Rec
         dual_norm = max(float(np.sqrt(np.sum(px * px + py * py))), floor)
         px, py = px_new, py_new
 
-        x_new = x + tau * _div_arrays(px, py)
+        x_new = x + tau * divergence(px, py)
         spec = _dct2(x_new)
-        spec[rows, cols] = meas.values
+        project_constraint(spec, meas)
         x_new = _idct2(spec)
         if not np.all(np.isfinite(x_new)):
             raise SolverFailure(k)
@@ -215,18 +167,18 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None) -> Rec
 
         rel_primal = primal_change / primal_norm
         if k % config.log_every == 0:
-            history.append((k, rel_primal, _tv_value(x)))
+            history.append((k, rel_primal, tv(x)))
         if rel_primal < config.tol and dual_change / dual_norm < config.tol:
             iters_used = k
             converged = True
             break
 
     final_spec = _dct2(x)
-    residual = float(np.max(np.abs(final_spec[rows, cols] - meas.values)))
+    residual = float(np.max(np.abs(final_spec[meas.mask.rows, meas.mask.cols] - meas.values)))
     return ReconstructionResult(
         image=ImageMatrix(x, source_len=meas.source_len),
         iters_used=iters_used,
-        final_tv=_tv_value(x),
+        final_tv=tv(x),
         constraint_residual=residual,
         converged=converged,
         history=tuple(history),
@@ -236,15 +188,15 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None) -> Rec
 def load_solver_config(path: str | Path) -> SolverConfig:
     """Read a config from JSON or from ``key = value`` lines.
 
-    Recognized keys: max_iters, tol, step_primal, step_dual, log_every.
+    The recognized keys are the fields of :class:`SolverConfig`.
     """
     text = Path(path).read_text()
-    fields: dict[str, str] = {}
+    entries: dict[str, str] = {}
     try:
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError(f"{path}: config JSON must be an object")
-        fields = {str(k): str(v) for k, v in obj.items()}
+        entries = {str(k): str(v) for k, v in obj.items()}
     except json.JSONDecodeError:
         for raw in text.splitlines():
             line = raw.split("#", 1)[0].strip()
@@ -254,16 +206,11 @@ def load_solver_config(path: str | Path) -> SolverConfig:
             if sep is None:
                 raise ValueError(f"{path}: cannot parse config line {raw!r}")
             key, value = line.split(sep, 1)
-            fields[key.strip()] = value.strip()
-    known = {"max_iters", "tol", "step_primal", "step_dual", "log_every"}
-    unknown = set(fields) - known
+            entries[key.strip()] = value.strip()
+    # every field has a default (SolverConfig() is the default config), and
+    # the default's type is the field's type
+    casts = {f.name: type(f.default) for f in fields(SolverConfig)}
+    unknown = set(entries) - set(casts)
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-    kwargs: dict[str, float | int] = {}
-    for key in ("max_iters", "log_every"):
-        if key in fields:
-            kwargs[key] = int(fields[key])
-    for key in ("tol", "step_primal", "step_dual"):
-        if key in fields:
-            kwargs[key] = float(fields[key])
-    return SolverConfig(**kwargs)
+    return SolverConfig(**{key: casts[key](value) for key, value in entries.items()})

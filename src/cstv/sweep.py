@@ -12,14 +12,14 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .sampling import draw_mask, measure
-from .signal import Signal1D, flatten_to_signal, reshape_to_image
+from .signal import Signal1D, flatten_to_signal, mean_value, reshape_to_image
 from .solver import ReconstructionResult, SolverConfig, SolverFailure, reconstruct
 from .transform import dct2_forward
 
@@ -39,7 +39,7 @@ def recover_signal(
     config: SolverConfig | None = None,
 ) -> tuple[Signal1D, ReconstructionResult]:
     """Run the full reshape / sample / solve / flatten pipeline once."""
-    mean = float(np.mean(signal.samples))
+    mean = mean_value(signal)
     centered = Signal1D(signal.samples - mean, original_len=signal.original_len)
     image = reshape_to_image(centered)
     spectrum = dct2_forward(image)
@@ -70,6 +70,12 @@ class SweepSpec:
             raise ValueError("seeds must be non-empty")
         object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        # a repeated value would re-solve the same (ratio, seed) pair and
+        # count it more than once in the ratio's median
+        if len(set(self.ratios)) != len(self.ratios):
+            raise ValueError(f"ratios must be distinct, got {self.ratios}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {self.seeds}")
 
 
 @dataclass(frozen=True)
@@ -110,18 +116,23 @@ def _run_row(args: tuple[np.ndarray, int, float, int, SolverConfig]) -> SweepRow
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepReport:
-    """Evaluate every (ratio, seed) pair.
+    """Evaluate every (ratio, seed) pair on up to ``workers`` processes.
 
     Rows are assembled sorted by (ratio, seed), so a parallel run produces
     the same report as a serial one (wall_time aside).
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     jobs = [
         (np.asarray(spec.signal.samples), spec.signal.original_len, ratio, seed, spec.solver)
         for ratio in sorted(spec.ratios)
         for seed in sorted(spec.seeds)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    # the pool starts all of its processes at once, so it gets no more
+    # than there are jobs
+    pool_size = min(workers, len(jobs))
+    if pool_size > 1:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             rows = list(pool.map(_run_row, jobs))
     else:
         rows = [_run_row(job) for job in jobs]
@@ -151,13 +162,7 @@ def write_report_sidecar(report: SweepReport, spec: SweepSpec, path: str | Path)
         "n_samples": spec.signal.original_len,
         "ratios": list(spec.ratios),
         "seeds": list(spec.seeds),
-        "solver": {
-            "max_iters": spec.solver.max_iters,
-            "tol": spec.solver.tol,
-            "step_primal": spec.solver.step_primal,
-            "step_dual": spec.solver.step_dual,
-            "log_every": spec.solver.log_every,
-        },
+        "solver": asdict(spec.solver),
         "median_mse": {repr(ratio): med for ratio, med in report.median_mse},
         "wall_time_total": sum(r.wall_time for r in report.rows),
         "wall_time_rows": [r.wall_time for r in report.rows],

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import pytest
 
 from cstv.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main, write_pgm
 from cstv.signal import load_signal_csv
-from cstv.solver import SolverFailure
+from cstv.solver import SolverConfig, SolverFailure, load_solver_config
 from cstv.sweep import mse
 
 
@@ -92,6 +93,41 @@ def test_sweep_writes_csv_and_sidecar(tmp_path):
     assert sidecar["ratios"] == [0.5, 1.0]
     assert sidecar["seeds"] == [1, 2]
     assert "solver" in sidecar and "median_mse" in sidecar
+
+
+def test_every_solver_field_round_trips_through_config_files_and_sidecar(tmp_path):
+    # a non-default value per field, derived from the field's default so a
+    # new field is covered without editing this test
+    values = {}
+    for f in dataclasses.fields(SolverConfig):
+        if type(f.default) is int:
+            values[f.name] = f.default + 1
+        elif type(f.default) is float:
+            values[f.name] = f.default / 2
+        else:
+            pytest.fail(f"no non-default value rule for field {f.name}: {f.default!r}")
+        assert values[f.name] != f.default
+    as_json = tmp_path / "solver.json"
+    as_json.write_text(json.dumps(values))
+    as_lines = tmp_path / "solver.cfg"
+    as_lines.write_text("".join(f"{key} = {value!r}\n" for key, value in values.items()))
+    for path in (as_json, as_lines):
+        assert dataclasses.asdict(load_solver_config(path)) == values
+
+    out = tmp_path / "report.csv"
+    assert run_cli("sweep", "--kind", "ecg", "--n", "64", "--fs", "64", "--bpm", "60",
+                   "--ratios", "1.0", "--seeds", "1", "--solver", str(as_lines),
+                   "--out", str(out)) == EXIT_OK
+    assert json.loads((tmp_path / "report.json").read_text())["solver"] == values
+
+
+@pytest.mark.parametrize("ratios,seeds,workers", [("0.5,1.0", "1,2", "0"), ("0.5,1.0", "1,2", "-2"),
+                                                  ("0.5,0.5", "1,2", "1"), ("0.5,1.0", "1,1", "1")])
+def test_sweep_bad_workers_or_repeated_values_are_usage_errors(tmp_path, ratios, seeds, workers):
+    out = tmp_path / "r.csv"
+    assert run_cli("sweep", "--kind", "ecg", "--n", "64", "--fs", "64", "--ratios", ratios,
+                   "--seeds", seeds, "--workers", workers, "--out", str(out)) == EXIT_USAGE
+    assert not out.exists()
 
 
 def test_sweep_parallel_serial_identical_bytes(tmp_path):

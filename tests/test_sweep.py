@@ -84,6 +84,39 @@ def test_sweep_spec_validation():
         small_spec(seeds=())
 
 
+@pytest.mark.parametrize("overrides", [dict(ratios=(0.5, 0.5)), dict(seeds=(1, 1))])
+def test_sweep_spec_rejects_duplicate_ratios_or_seeds(overrides):
+    with pytest.raises(ValueError, match="distinct"):
+        small_spec(**overrides)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, starts no process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("workers,pool_sizes", [(1, []), (2, [2]), (64, [4])])
+def test_sweep_pool_is_capped_at_the_job_count(monkeypatch, workers, pool_sizes):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", RecordingPool)
+    report = run_sweep(small_spec(), workers=workers)  # 2 ratios x 2 seeds = 4 jobs
+    assert RecordingPool.sizes == pool_sizes
+    assert len(report.rows) == 4
+
+
 def test_sweep_rows_are_sorted_and_complete():
     report = run_sweep(small_spec())
     assert [(r.ratio, r.seed) for r in report.rows] == [(0.4, 1), (0.4, 2), (1.0, 1), (1.0, 2)]
