@@ -17,25 +17,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .transform import DctSpectrum, zigzag_order
+from .transform import zigzag_order
 
 Array = np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementMask:
-    """Kept zig-zag ranks for a side x side spectrum.
+    """Kept zig-zag ranks for a side x side spectrum, sorted ascending.
 
     ``rows`` and ``cols`` are the spectrum positions of the kept ranks, in
-    the order of ``kept_ranks``.
+    the order of ``kept_ranks``.  How many ranks a ratio keeps is decided
+    by :func:`draw_mask`.  Equality is identity.
     """
 
     side: int
     kept_ranks: Array
-    ratio: float
-    seed: int
-    rows: Array = field(init=False, repr=False, compare=False)
-    cols: Array = field(init=False, repr=False, compare=False)
+    rows: Array = field(init=False, repr=False)
+    cols: Array = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         ranks = np.asarray(self.kept_ranks, dtype=np.int64)
@@ -46,9 +45,6 @@ class MeasurementMask:
             raise ValueError("ranks out of range")
         if np.unique(ranks).size != ranks.size:
             raise ValueError("ranks must be distinct")
-        expected = min(max(int(round(self.ratio * n)), 1), n)
-        if ranks.size != expected:
-            raise ValueError(f"ratio {self.ratio} implies {expected} ranks, got {ranks.size}")
         ranks = np.sort(ranks)
         ranks.setflags(write=False)
         object.__setattr__(self, "kept_ranks", ranks)
@@ -62,13 +58,15 @@ class MeasurementMask:
         return self.kept_ranks.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSet:
-    """Measured coefficient values, aligned with mask.kept_ranks."""
+    """Measured coefficient values, aligned with mask.kept_ranks.
+
+    Equality is identity.
+    """
 
     mask: MeasurementMask
     values: Array
-    source_len: int
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=np.float64)
@@ -98,15 +96,14 @@ def draw_mask(side: int, ratio: float, seed: int) -> MeasurementMask:
     for i in range(m):
         j = i + int(rng.integers(n - i))
         ranks[i], ranks[j] = ranks[j], ranks[i]
-    return MeasurementMask(side=side, kept_ranks=ranks[:m], ratio=float(ratio), seed=int(seed))
+    return MeasurementMask(side=side, kept_ranks=ranks[:m])
 
 
-def measure(spectrum: DctSpectrum, mask: MeasurementMask) -> MeasurementSet:
-    """Gather the spectrum values at the mask's zig-zag ranks."""
-    if spectrum.side != mask.side:
-        raise ValueError(f"side mismatch: spectrum {spectrum.side}, mask {mask.side}")
-    vals = spectrum.coeffs[mask.rows, mask.cols]
-    return MeasurementSet(mask=mask, values=vals, source_len=spectrum.source_len)
+def measure(coeffs: Array, mask: MeasurementMask) -> MeasurementSet:
+    """Gather a spectrum array's values at the mask's zig-zag ranks."""
+    if coeffs.shape != (mask.side, mask.side):
+        raise ValueError(f"shape mismatch: spectrum {coeffs.shape}, mask side {mask.side}")
+    return MeasurementSet(mask=mask, values=coeffs[mask.rows, mask.cols])
 
 
 def project_constraint(coeffs: Array, meas: MeasurementSet) -> None:

@@ -1,13 +1,14 @@
 """1D signals, their square-image embedding, and the conversions between them.
 
 A length-N0 signal is zero-padded up to the smallest perfect square and
-filled into a side x side matrix column by column.  The original length is
-carried through so the inverse conversion can strip the padding exactly.
+filled into a side x side matrix column by column.  The image does not
+record N0: the inverse conversion takes it from the caller, who holds the
+signal (``len(signal)``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,47 +26,45 @@ def _frozen(a: Array) -> Array:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Signal1D:
-    """Immutable 1D sample sequence.
+    """Immutable 1D sequence of a signal's true samples; zero padding added
+    for the square embedding is never part of it.
 
-    ``original_len`` counts the true samples; any zero padding added later
-    for the square embedding is never part of this object.
+    Equality is identity: the generated ``==`` would compare arrays.
     """
 
     samples: Array
-    original_len: int = field(default=-1)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.samples, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        n = int(self.original_len) if self.original_len != -1 else arr.size
-        if n < 1:
+        if arr.size < 1:
             raise ValueError("signal must contain at least one sample")
-        if n != arr.size:
-            raise ValueError(f"original_len {n} != number of samples {arr.size}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("signal samples must be finite")
         object.__setattr__(self, "samples", _frozen(arr))
-        object.__setattr__(self, "original_len", n)
 
     def __len__(self) -> int:
-        return self.original_len
+        return self.samples.size
+
+    def __reduce__(self):
+        # a sweep sends the signal to its worker processes; rebuilding it
+        # there keeps the unpickled samples read-only
+        return (Signal1D, (self.samples,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImageMatrix:
     """Square real matrix holding a column-wise embedded signal.
 
-    ``source_len`` is the pre-padding sample count, kept so the signal can
-    be extracted again.  Entries beyond ``source_len`` (in column-major
-    order) are zero right after :func:`reshape_to_image` but are free to
-    take any value in reconstructed images.
+    Entries past the signal's end (in column-major order) are zero right
+    after :func:`reshape_to_image` but are free to take any value in
+    reconstructed images.  Equality is identity, as for :class:`Signal1D`.
     """
 
     values: Array
-    source_len: int
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=np.float64)
@@ -73,11 +72,7 @@ class ImageMatrix:
             raise ValueError("image must be a square 2D matrix")
         if not np.all(np.isfinite(arr)):
             raise ValueError("image entries must be finite")
-        n = int(self.source_len)
-        if n < 1 or n > arr.size:
-            raise ValueError(f"source_len {n} out of range for side {arr.shape[0]}")
         object.__setattr__(self, "values", _frozen(arr))
-        object.__setattr__(self, "source_len", n)
 
     @property
     def side(self) -> int:
@@ -89,17 +84,19 @@ def reshape_to_image(signal: Signal1D) -> ImageMatrix:
 
     The side is ceil(sqrt(N0)); positions past the signal end are zero.
     """
-    n = signal.original_len
+    n = len(signal)
     side = int(np.ceil(np.sqrt(n)))
     padded = np.zeros(side * side, dtype=np.float64)
     padded[:n] = signal.samples
-    return ImageMatrix(padded.reshape((side, side), order="F"), source_len=n)
+    return ImageMatrix(padded.reshape((side, side), order="F"))
 
 
-def flatten_to_signal(image: ImageMatrix) -> Signal1D:
-    """Inverse of :func:`reshape_to_image`: read column-major, drop padding."""
-    flat = image.values.reshape(-1, order="F")[: image.source_len]
-    return Signal1D(flat, original_len=image.source_len)
+def flatten_to_signal(image: ImageMatrix, n: int) -> Signal1D:
+    """Inverse of :func:`reshape_to_image` for a length-``n`` signal: read
+    column-major and keep the first ``n`` entries."""
+    if not 1 <= n <= image.values.size:
+        raise ValueError(f"length {n} out of range for side {image.side}")
+    return Signal1D(image.values.reshape(-1, order="F")[:n])
 
 
 def mean_value(signal: Signal1D) -> float:

@@ -41,7 +41,7 @@ GRAD_SQ_NORM_BOUND = 8.0
 
 
 class SolverFailure(RuntimeError):
-    """Non-finite values appeared mid-iteration."""
+    """A non-finite value appeared in an iteration's stopping norms."""
 
     def __init__(self, iteration: int, message: str | None = None):
         self.iteration = iteration
@@ -123,6 +123,7 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None) -> Rec
     Starts from the zero-filled spectrum (feasible by construction) and
     iterates dual ascent / primal step / constraint projection until both
     primal and dual relative changes drop below config.tol, or max_iters.
+    Raises :class:`SolverFailure` when a norm of that test is not finite.
     """
     if config is None:
         config = SolverConfig()
@@ -157,11 +158,13 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None) -> Rec
         spec = _dct2(x_new)
         project_constraint(spec, meas)
         x_new = _idct2(spec)
-        if not np.all(np.isfinite(x_new)):
-            raise SolverFailure(k)
 
         primal_change = float(np.linalg.norm(x_new - x))
         primal_norm = max(float(np.linalg.norm(x)), floor)
+        # a non-finite iterate makes primal_change non-finite; the norms can
+        # also overflow on their own while every entry stays finite
+        if not all(map(math.isfinite, (dual_change, dual_norm, primal_change, primal_norm))):
+            raise SolverFailure(k)
         x_bar = 2.0 * x_new - x
         x = x_new
 
@@ -176,7 +179,7 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None) -> Rec
     final_spec = _dct2(x)
     residual = float(np.max(np.abs(final_spec[meas.mask.rows, meas.mask.cols] - meas.values)))
     return ReconstructionResult(
-        image=ImageMatrix(x, source_len=meas.source_len),
+        image=ImageMatrix(x),
         iters_used=iters_used,
         final_tv=tv(x),
         constraint_residual=residual,

@@ -26,8 +26,8 @@ from .transform import dct2_forward
 
 def mse(a: Signal1D, b: Signal1D) -> float:
     """Mean squared error over the original samples."""
-    if a.original_len != b.original_len:
-        raise ValueError(f"length mismatch: {a.original_len} vs {b.original_len}")
+    if len(a) != len(b):
+        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     diff = a.samples - b.samples
     return float(np.mean(diff * diff))
 
@@ -40,15 +40,12 @@ def recover_signal(
 ) -> tuple[Signal1D, ReconstructionResult]:
     """Run the full reshape / sample / solve / flatten pipeline once."""
     mean = mean_value(signal)
-    centered = Signal1D(signal.samples - mean, original_len=signal.original_len)
-    image = reshape_to_image(centered)
-    spectrum = dct2_forward(image)
+    image = reshape_to_image(Signal1D(signal.samples - mean))
     mask = draw_mask(image.side, ratio, seed)
-    meas = measure(spectrum, mask)
+    meas = measure(dct2_forward(image), mask)
     result = reconstruct(meas, config)
-    recovered = flatten_to_signal(result.image)
-    restored = Signal1D(recovered.samples + mean, original_len=recovered.original_len)
-    return restored, result
+    recovered = flatten_to_signal(result.image, len(signal))
+    return Signal1D(recovered.samples + mean), result
 
 
 @dataclass(frozen=True)
@@ -95,9 +92,8 @@ class SweepReport:
     """Per-ratio (ratio, median mse over seeds), failed rows excluded."""
 
 
-def _run_row(args: tuple[np.ndarray, int, float, int, SolverConfig]) -> SweepRow:
-    samples, original_len, ratio, seed, config = args
-    signal = Signal1D(samples, original_len=original_len)
+def _run_row(args: tuple[Signal1D, float, int, SolverConfig]) -> SweepRow:
+    signal, ratio, seed, config = args
     start = time.perf_counter()
     try:
         recovered, result = recover_signal(signal, ratio, seed, config)
@@ -124,7 +120,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepReport:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     jobs = [
-        (np.asarray(spec.signal.samples), spec.signal.original_len, ratio, seed, spec.solver)
+        (spec.signal, ratio, seed, spec.solver)
         for ratio in sorted(spec.ratios)
         for seed in sorted(spec.seeds)
     ]
@@ -159,7 +155,7 @@ def write_report_sidecar(report: SweepReport, spec: SweepSpec, path: str | Path)
     payload = {
         "version": __version__,
         "source": spec.source,
-        "n_samples": spec.signal.original_len,
+        "n_samples": len(spec.signal),
         "ratios": list(spec.ratios),
         "seeds": list(spec.seeds),
         "solver": asdict(spec.solver),

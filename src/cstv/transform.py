@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .signal import ImageMatrix, _frozen
+from .signal import ImageMatrix
 
 Array = np.ndarray
 
@@ -38,36 +38,13 @@ def _idct2(y: Array) -> Array:
     return c.T @ y @ c
 
 
-@dataclass(frozen=True)
-class DctSpectrum:
-    """2D DCT-II coefficient matrix, with the embedded signal length."""
-
-    coeffs: Array
-    source_len: int
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.coeffs, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("spectrum must be a square 2D matrix")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("spectrum entries must be finite")
-        n = int(self.source_len)
-        if n < 1 or n > arr.size:
-            raise ValueError(f"source_len {n} out of range for side {arr.shape[0]}")
-        object.__setattr__(self, "coeffs", _frozen(arr))
-        object.__setattr__(self, "source_len", n)
-
-    @property
-    def side(self) -> int:
-        return self.coeffs.shape[0]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZigZagOrder:
     """Bijection rank -> (row, col) along anti-diagonals, JPEG style.
 
     Even diagonals (row + col even) run bottom-left to top-right, odd ones
-    top-right to bottom-left; rank 0 is always (0, 0).
+    top-right to bottom-left; rank 0 is always (0, 0).  Equality is
+    identity; :func:`zigzag_order` returns one cached object per side.
     """
 
     side: int
@@ -109,11 +86,15 @@ def zigzag_order(side: int) -> ZigZagOrder:
     return ZigZagOrder(side=side, rows=rows, cols=cols)
 
 
-def dct2_forward(image: ImageMatrix) -> DctSpectrum:
-    """Separable orthonormal 2D DCT-II of the image."""
-    return DctSpectrum(_dct2(image.values), source_len=image.source_len)
+def dct2_forward(image: ImageMatrix) -> Array:
+    """Separable orthonormal 2D DCT-II of the image, as a coefficient array."""
+    return _dct2(image.values)
 
 
-def dct2_inverse(spectrum: DctSpectrum) -> ImageMatrix:
-    """Exact inverse of :func:`dct2_forward` up to float round-off."""
-    return ImageMatrix(_idct2(spectrum.coeffs), source_len=spectrum.source_len)
+def dct2_inverse(coeffs: Array) -> ImageMatrix:
+    """Exact inverse of :func:`dct2_forward` up to float round-off.
+
+    The :class:`ImageMatrix` it returns rejects a non-square or non-finite
+    result.
+    """
+    return ImageMatrix(_idct2(coeffs))

@@ -9,6 +9,7 @@ import itertools
 import time
 
 import numpy as np
+import pytest
 
 from _oracles import naive_dct2, naive_tv
 from cstv.generators import gen_ecg_like
@@ -22,7 +23,7 @@ RATIO_GRID = tuple(round(0.30 + 0.05 * i, 2) for i in range(13))
 
 
 def _image(side, rng):
-    return ImageMatrix(rng.normal(size=(side, side)), source_len=side * side)
+    return ImageMatrix(rng.normal(size=(side, side)))
 
 
 def test_criterion_1_transform_correctness():
@@ -43,7 +44,7 @@ def test_criterion_1_transform_correctness():
     for side in (2, 3, 4, 8):
         for _ in range(5):
             img = _image(side, rng)
-            diff = dct2_forward(img).coeffs - naive_dct2(img.values)
+            diff = dct2_forward(img) - naive_dct2(img.values)
             worst_oracle = max(worst_oracle, float(np.max(np.abs(diff))))
     assert worst_oracle <= 1e-10
     print(f"\n[criterion 1] PASS transform round-trip max {worst_rt:.2e}, "
@@ -92,7 +93,7 @@ def test_criterion_5_exact_recovery_oracle():
     img = np.zeros((16, 16))
     img[3:5, 4:7] = 2.0
     img[10:12, 9:12] = -2.0
-    phantom = ImageMatrix(img, source_len=256)
+    phantom = ImageMatrix(img)
     spectrum = dct2_forward(phantom)
     config = SolverConfig(max_iters=500, tol=1e-12, step_primal=0.07, step_dual=1.75)
     variance = float(np.var(img))
@@ -112,6 +113,7 @@ def test_criterion_5_exact_recovery_oracle():
           f"{worst_rel:.2e} (tol 1e-3), worst run {worst_time:.2f}s (limit 5s)")
 
 
+@pytest.mark.slow
 def test_criterion_6_table_trend():
     # the paper's absolute table values are not reproducible (its recorded
     # signals are unpublished); the trend is checked instead

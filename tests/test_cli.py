@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from cstv.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main, write_pgm
-from cstv.signal import load_signal_csv
+from cstv.generators import gen_ecg_like
+from cstv.signal import Signal1D, load_signal_csv, save_signal_csv
 from cstv.solver import SolverConfig, SolverFailure, load_solver_config
 from cstv.sweep import mse
 
@@ -23,7 +24,7 @@ def test_gen_writes_loadable_deterministic_csv(tmp_path):
     assert run_cli("gen", "--kind", "ecg", "--n", "500", "--fs", "250", "--bpm", "60",
                    "--seed", "3", "--out", str(out2)) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
-    assert load_signal_csv(out1).original_len == 500
+    assert len(load_signal_csv(out1)) == 500
 
 
 @pytest.mark.parametrize("kind", ["pressure", "respiration"])
@@ -31,7 +32,7 @@ def test_gen_other_kinds(tmp_path, kind):
     out = tmp_path / "sig.csv"
     assert run_cli("gen", "--kind", kind, "--n", "200", "--fs", "50", "--seed", "1",
                    "--out", str(out)) == EXIT_OK
-    assert load_signal_csv(out).original_len == 200
+    assert len(load_signal_csv(out)) == 200
 
 
 def test_reconstruct_full_ratio_roundtrip(tmp_path):
@@ -186,6 +187,16 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr("cstv.cli.recover_signal", explode)
     assert run_cli("reconstruct", "--in", str(src), "--ratio", "0.5", "--seed", "1",
                    "--out", str(tmp_path / "o.csv")) == EXIT_SOLVER
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_solve_exits_with_solver_failure(tmp_path):
+    src = tmp_path / "huge.csv"
+    save_signal_csv(Signal1D(gen_ecg_like(1000, bpm=60, fs=250, seed=0).samples * 1e200), src)
+    out = tmp_path / "o.csv"
+    assert run_cli("reconstruct", "--in", str(src), "--ratio", "0.5", "--seed", "1",
+                   "--out", str(out)) == EXIT_SOLVER
+    assert not out.exists()
 
 
 def test_write_pgm_flat_image(tmp_path):

@@ -40,7 +40,7 @@ def test_ecg_zero_amplitude_is_zero_signal():
 
 def test_ecg_single_sample():
     sig = gen_ecg_like(1, bpm=60, fs=250, seed=0)
-    assert sig.original_len == 1 and np.isfinite(sig.samples[0])
+    assert len(sig) == 1 and np.isfinite(sig.samples[0])
 
 
 @pytest.mark.parametrize(
@@ -61,7 +61,7 @@ def test_pressure_deterministic_and_finite():
 
 def test_pressure_single_sample():
     sig = gen_pressure_like(1, fs=125, seed=0)
-    assert sig.original_len == 1 and np.isfinite(sig.samples[0])
+    assert len(sig) == 1 and np.isfinite(sig.samples[0])
 
 
 def test_pressure_pulses_at_beat_rate():
@@ -100,7 +100,7 @@ def test_respiration_twelve_breath_pairs_per_minute():
 
 def test_respiration_single_sample():
     sig = gen_respiration_like(1, fs=25, seed=0)
-    assert sig.original_len == 1 and np.isfinite(sig.samples[0])
+    assert len(sig) == 1 and np.isfinite(sig.samples[0])
 
 
 def test_respiration_rejects_bad_parameters():

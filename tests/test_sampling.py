@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cstv.sampling import MeasurementMask, MeasurementSet, draw_mask, measure, project_constraint
 from cstv.signal import ImageMatrix
-from cstv.transform import DctSpectrum, dct2_forward, zigzag_order
+from cstv.transform import dct2_forward, zigzag_order
 
 
 def zero_filled(meas):
@@ -61,47 +61,45 @@ def test_masks_nest_across_ratios(side, seed):
 
 def test_measure_full_mask_is_zigzag_linearization():
     rng = np.random.default_rng(1)
-    img = ImageMatrix(rng.normal(size=(4, 4)), source_len=16)
+    img = ImageMatrix(rng.normal(size=(4, 4)))
     spec = dct2_forward(img)
     meas = measure(spec, draw_mask(4, 1.0, seed=0))
     order = zigzag_order(4)
-    expected = spec.coeffs[order.rows, order.cols]
+    expected = spec[order.rows, order.cols]
     assert np.array_equal(meas.values, expected)
 
 
 def test_measure_dc_of_constant_image():
     side, c = 4, 3.25
-    spec = dct2_forward(ImageMatrix(np.full((side, side), c), source_len=16))
-    mask = MeasurementMask(side=side, kept_ranks=np.array([0]), ratio=1 / 16, seed=0)
+    spec = dct2_forward(ImageMatrix(np.full((side, side), c)))
+    mask = MeasurementMask(side=side, kept_ranks=np.array([0]))
     meas = measure(spec, mask)
     assert meas.values[0] == pytest.approx(c * side, rel=1e-12)
 
 
 def test_measure_first_three_ranks_side3():
     coeffs = np.arange(9, dtype=float).reshape(3, 3)
-    spec = DctSpectrum(coeffs, source_len=9)
-    mask = MeasurementMask(side=3, kept_ranks=np.array([0, 1, 2]), ratio=3 / 9, seed=0)
-    meas = measure(spec, mask)
+    mask = MeasurementMask(side=3, kept_ranks=np.array([0, 1, 2]))
+    meas = measure(coeffs, mask)
     # side-3 zig-zag starts (0,0), (0,1), (1,0)
     assert meas.values.tolist() == [coeffs[0, 0], coeffs[0, 1], coeffs[1, 0]]
 
 
 def test_measure_side_mismatch():
-    spec = DctSpectrum(np.zeros((3, 3)), source_len=9)
     with pytest.raises(ValueError):
-        measure(spec, draw_mask(4, 0.5, seed=0))
+        measure(np.zeros((3, 3)), draw_mask(4, 0.5, seed=0))
 
 
 def test_embed_full_measurement_reproduces_spectrum():
     rng = np.random.default_rng(2)
-    spec = dct2_forward(ImageMatrix(rng.normal(size=(5, 5)), source_len=25))
+    spec = dct2_forward(ImageMatrix(rng.normal(size=(5, 5))))
     meas = measure(spec, draw_mask(5, 1.0, seed=0))
-    assert np.array_equal(zero_filled(meas), spec.coeffs)
+    assert np.array_equal(zero_filled(meas), spec)
 
 
 def test_embed_single_dc_measurement():
-    mask = MeasurementMask(side=3, kept_ranks=np.array([0]), ratio=1 / 9, seed=0)
-    meas = MeasurementSet(mask=mask, values=np.array([4.5]), source_len=9)
+    mask = MeasurementMask(side=3, kept_ranks=np.array([0]))
+    meas = MeasurementSet(mask=mask, values=np.array([4.5]))
     coeffs = zero_filled(meas)
     assert coeffs[0, 0] == 4.5
     assert np.count_nonzero(coeffs) == 1
@@ -111,18 +109,27 @@ def test_embed_single_dc_measurement():
 @settings(max_examples=50)
 def test_measure_embed_measure_roundtrip(side, ratio, seed):
     rng = np.random.default_rng(seed)
-    spec = dct2_forward(ImageMatrix(rng.normal(size=(side, side)), source_len=side * side))
+    spec = dct2_forward(ImageMatrix(rng.normal(size=(side, side))))
     mask = draw_mask(side, ratio, seed)
     meas = measure(spec, mask)
-    again = measure(DctSpectrum(zero_filled(meas), source_len=side * side), mask)
+    again = measure(zero_filled(meas), mask)
     assert np.array_equal(again.values, meas.values)
 
 
 def test_mask_rejects_duplicates_and_out_of_range():
     with pytest.raises(ValueError):
-        MeasurementMask(side=2, kept_ranks=np.array([1, 1]), ratio=0.5, seed=0)
+        MeasurementMask(side=2, kept_ranks=np.array([1, 1]))
     with pytest.raises(ValueError):
-        MeasurementMask(side=2, kept_ranks=np.array([4]), ratio=0.25, seed=0)
+        MeasurementMask(side=2, kept_ranks=np.array([4]))
+
+
+def test_equality_is_identity_and_hash_works():
+    a, b = draw_mask(4, 0.5, 1), draw_mask(4, 0.5, 1)
+    assert a == a and a != b
+    meas = MeasurementSet(mask=a, values=np.zeros(a.count))
+    assert meas == meas and meas != MeasurementSet(mask=a, values=np.zeros(a.count))
+    for obj in (a, meas, zigzag_order(4)):
+        assert hash(obj) == hash(obj)
 
 
 def test_inclusion_frequency_is_roughly_uniform():

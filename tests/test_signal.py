@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,15 +37,12 @@ def test_reshape_with_padding():
     img = reshape_to_image(Signal1D([1, 2, 3, 4, 5]))
     assert img.side == 3
     assert img.values.tolist() == [[1, 4, 0], [2, 5, 0], [3, 0, 0]]
-    assert img.source_len == 5
 
 
 def test_flatten_examples():
-    assert flatten_to_signal(ImageMatrix([[1, 3], [2, 4]], source_len=4)).samples.tolist() == [1, 2, 3, 4]
-    assert flatten_to_signal(
-        ImageMatrix([[1, 4, 0], [2, 5, 0], [3, 0, 0]], source_len=5)
-    ).samples.tolist() == [1, 2, 3, 4, 5]
-    assert flatten_to_signal(ImageMatrix([[7]], source_len=1)).samples.tolist() == [7]
+    assert flatten_to_signal(ImageMatrix([[1, 3], [2, 4]]), 4).samples.tolist() == [1, 2, 3, 4]
+    assert flatten_to_signal(ImageMatrix([[1, 4, 0], [2, 5, 0], [3, 0, 0]]), 5).samples.tolist() == [1, 2, 3, 4, 5]
+    assert flatten_to_signal(ImageMatrix([[7]]), 1).samples.tolist() == [7]
 
 
 def test_mean_examples():
@@ -64,23 +63,30 @@ def test_nan_signal_rejected():
         Signal1D([float("inf")])
 
 
-def test_source_len_must_fit():
-    with pytest.raises(ValueError):
-        ImageMatrix([[1, 2], [3, 4]], source_len=5)
-    with pytest.raises(ValueError):
-        ImageMatrix([[1, 2], [3, 4]], source_len=0)
+def test_flatten_length_must_fit():
+    for n in (5, 0, -1):
+        with pytest.raises(ValueError):
+            flatten_to_signal(ImageMatrix([[1, 2], [3, 4]]), n)
+
+
+def test_equality_is_identity_and_hash_works():
+    for make in (lambda: Signal1D([1.0, 2.0]), lambda: ImageMatrix([[1.0, 2.0], [3.0, 4.0]])):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert hash(a) == hash(a)
 
 
 def test_signal_is_immutable():
     s = Signal1D([1.0, 2.0])
-    with pytest.raises(ValueError):
-        s.samples[0] = 9.0
+    for copy in (s, pickle.loads(pickle.dumps(s))):
+        with pytest.raises(ValueError):
+            copy.samples[0] = 9.0
 
 
 @given(signals)
 def test_roundtrip_is_bit_exact(s):
-    back = flatten_to_signal(reshape_to_image(s))
-    assert back.original_len == s.original_len
+    back = flatten_to_signal(reshape_to_image(s), len(s))
+    assert len(back) == len(s)
     assert np.array_equal(back.samples, s.samples)
 
 
@@ -88,7 +94,7 @@ def test_roundtrip_is_bit_exact(s):
 def test_padding_positions_are_zero(s):
     img = reshape_to_image(s)
     flat = img.values.reshape(-1, order="F")
-    assert np.all(flat[s.original_len:] == 0.0)
+    assert np.all(flat[len(s):] == 0.0)
 
 
 @given(st.integers(1, 5000))

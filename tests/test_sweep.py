@@ -169,6 +169,20 @@ def test_failed_rows_marked_nan_and_sweep_continues(tmp_path, monkeypatch):
     assert all(np.isnan(m) for _, m in report.median_mse)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_norms_fail_the_solve_and_the_row():
+    # at this amplitude every sample and iterate is finite, but the image
+    # norms in the stopping test overflow to inf
+    signal = Signal1D(gen_ecg_like(1000, bpm=60, fs=250, seed=0).samples * 1e200)
+    config = SolverConfig(max_iters=200)
+    with pytest.raises(SolverFailure) as excinfo:
+        recover_signal(signal, 0.5, seed=1, config=config)
+    assert excinfo.value.iteration == 1
+    report = run_sweep(SweepSpec(signal=signal, ratios=(0.5,), seeds=(1,), solver=config))
+    (row,) = report.rows
+    assert np.isnan(row.mse) and not row.converged and row.iters_used == 1
+
+
 def test_median_aggregation_ignores_failed_rows(monkeypatch):
     real_run_row = sweep_mod._run_row
 

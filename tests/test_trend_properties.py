@@ -24,6 +24,7 @@ def median_curve(signal, label):
     return [medians[r] for r in RATIO_GRID]
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize(
     "label,signal",
     [
