@@ -82,8 +82,8 @@ class MeasurementSet:
 def draw_mask(side: int, ratio: float, seed: int) -> MeasurementMask:
     """Draw round(ratio * side^2) distinct ranks uniformly, clamped to >= 1.
 
-    Partial Fisher-Yates over the rank indices; deterministic in
-    (side, ratio, seed).
+    Partial Fisher-Yates over the rank indices, all swap targets drawn in
+    one generator call; deterministic in (side, ratio, seed).
     """
     if side < 1:
         raise ValueError("side must be >= 1")
@@ -93,8 +93,8 @@ def draw_mask(side: int, ratio: float, seed: int) -> MeasurementMask:
     m = min(max(int(round(ratio * n)), 1), n)
     rng = np.random.default_rng(seed)
     ranks = np.arange(n, dtype=np.int64)
-    for i in range(m):
-        j = i + int(rng.integers(n - i))
+    for i, offset in enumerate(rng.integers(np.arange(n, n - m, -1)).tolist()):
+        j = i + offset
         ranks[i], ranks[j] = ranks[j], ranks[i]
     return MeasurementMask(side=side, kept_ranks=ranks[:m])
 

@@ -20,6 +20,12 @@ annihilated by the constraint projection and the image does not move even
 though the solve has barely started.  Convergence is therefore declared
 only when the relative change of the primal iterate AND of the dual
 variable both fall below tol.
+
+The iteration allocates no array after setup: every step writes into
+buffers made once per call, through the ``out=`` forms of the operators
+the tests check, so the iterates are bit-identical to the allocating
+forms.  The stopping norms are BLAS dot products over whole buffers, as
+``np.linalg.norm`` computes them, rather than sums over fresh temporaries.
 """
 
 from __future__ import annotations
@@ -86,23 +92,26 @@ class ReconstructionResult:
     """(iteration, relative primal change, tv) sampled every log_every."""
 
 
-def grad(x: Array) -> tuple[Array, Array]:
+def grad(x: Array, out: tuple[Array, Array] | None = None) -> tuple[Array, Array]:
     """Per-pixel forward differences down rows (gx) and across columns (gy).
 
     Zero on the trailing boundary: the last row of gx and the last column
-    of gy.
+    of gy.  ``out`` is an optional (gx, gy) pair to write, distinct from x.
     """
-    gx = np.zeros_like(x)
-    gy = np.zeros_like(x)
-    gx[:-1, :] = x[1:, :] - x[:-1, :]
-    gy[:, :-1] = x[:, 1:] - x[:, :-1]
+    gx, gy = (np.empty_like(x), np.empty_like(x)) if out is None else out
+    np.subtract(x[1:, :], x[:-1, :], out=gx[:-1, :])
+    np.subtract(x[:, 1:], x[:, :-1], out=gy[:, :-1])
+    gx[-1, :] = 0.0
+    gy[:, -1] = 0.0
     return gx, gy
 
 
-def divergence(gx: Array, gy: Array) -> Array:
+def divergence(gx: Array, gy: Array, out: Array | None = None) -> Array:
     """Negative adjoint of :func:`grad`:  <grad X, P> == -<X, divergence(P)>
-    for fields P that are zero on the trailing boundary."""
-    div = gx.copy()
+    for fields P that are zero on the trailing boundary.  ``out`` is an
+    optional array to write, distinct from gx and gy."""
+    div = np.empty_like(gx) if out is None else out
+    np.copyto(div, gx)
     div[1:, :] -= gx[:-1, :]
     div += gy
     div[:, 1:] -= gy[:, :-1]
@@ -128,12 +137,17 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None) -> Rec
     if config is None:
         config = SolverConfig()
     side = meas.mask.side
-    spec0 = np.zeros((side, side), dtype=np.float64)
-    project_constraint(spec0, meas)
-    x = _idct2(spec0)
+    spec = np.zeros((side, side), dtype=np.float64)
+    project_constraint(spec, meas)
+    work = np.empty_like(spec)
+    x = _idct2(spec)
+    x_new = np.empty_like(x)
     x_bar = x.copy()
-    px = np.zeros_like(x)
-    py = np.zeros_like(x)
+    # the dual field (px, py) is stacked so that one dot product gives its
+    # norm; g holds the gradient and then the next dual field
+    p = np.zeros((2, side, side))
+    g = np.empty_like(p)
+    mag = np.empty_like(x)
 
     sigma = config.step_dual
     tau = config.step_primal
@@ -143,30 +157,34 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None) -> Rec
     converged = False
 
     for k in range(1, config.max_iters + 1):
-        gx, gy = grad(x_bar)
-        px_new = px + sigma * gx
-        py_new = py + sigma * gy
-        mag = np.sqrt(px_new * px_new + py_new * py_new)
+        grad(x_bar, out=(g[0], g[1]))
+        np.multiply(g, sigma, out=g)
+        np.add(p, g, out=g)
+        np.multiply(g[0], g[0], out=mag)
+        np.add(mag, np.multiply(g[1], g[1], out=work), out=mag)
+        np.sqrt(mag, out=mag)
         np.maximum(mag, 1.0, out=mag)
-        px_new /= mag
-        py_new /= mag
-        dual_change = float(np.sqrt(np.sum((px_new - px) ** 2 + (py_new - py) ** 2)))
-        dual_norm = max(float(np.sqrt(np.sum(px * px + py * py))), floor)
-        px, py = px_new, py_new
+        np.divide(g, mag, out=g)
+        dual_norm = max(float(np.linalg.norm(p)), floor)
+        dual_change = float(np.linalg.norm(np.subtract(g, p, out=p)))
+        p, g = g, p
 
-        x_new = x + tau * divergence(px, py)
-        spec = _dct2(x_new)
+        step = divergence(p[0], p[1], out=g[0])
+        np.multiply(step, tau, out=step)
+        np.add(x, step, out=x_new)
+        _dct2(x_new, out=spec, work=work)
         project_constraint(spec, meas)
-        x_new = _idct2(spec)
+        _idct2(spec, out=x_new, work=work)
 
-        primal_change = float(np.linalg.norm(x_new - x))
+        primal_change = float(np.linalg.norm(np.subtract(x_new, x, out=work)))
         primal_norm = max(float(np.linalg.norm(x)), floor)
         # a non-finite iterate makes primal_change non-finite; the norms can
         # also overflow on their own while every entry stays finite
         if not all(map(math.isfinite, (dual_change, dual_norm, primal_change, primal_norm))):
             raise SolverFailure(k)
-        x_bar = 2.0 * x_new - x
-        x = x_new
+        np.multiply(x_new, 2.0, out=x_bar)
+        np.subtract(x_bar, x, out=x_bar)
+        x, x_new = x_new, x
 
         rel_primal = primal_change / primal_norm
         if k % config.log_every == 0:

@@ -28,14 +28,16 @@ def _dct_basis(n: int) -> Array:
     return basis
 
 
-def _dct2(x: Array) -> Array:
+def _dct2(x: Array, out: Array | None = None, work: Array | None = None) -> Array:
+    """C @ x @ C.T, written to out; work, if given, holds C @ x."""
     c = _dct_basis(x.shape[0])
-    return c @ x @ c.T
+    return np.matmul(np.matmul(c, x, out=work), c.T, out=out)
 
 
-def _idct2(y: Array) -> Array:
+def _idct2(y: Array, out: Array | None = None, work: Array | None = None) -> Array:
+    """C.T @ y @ C, written to out; work, if given, holds C.T @ y."""
     c = _dct_basis(y.shape[0])
-    return c.T @ y @ c
+    return np.matmul(np.matmul(c.T, y, out=work), c, out=out)
 
 
 @dataclass(frozen=True, eq=False)

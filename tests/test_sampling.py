@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import scalar_draw_ranks
 from cstv.sampling import MeasurementMask, MeasurementSet, draw_mask, measure, project_constraint
 from cstv.signal import ImageMatrix
 from cstv.transform import dct2_forward, zigzag_order
@@ -47,6 +48,14 @@ def test_bad_side_rejected():
 
 def test_tiny_ratio_clamps_to_one_rank():
     assert draw_mask(4, 1e-9, seed=3).count == 1
+
+
+@pytest.mark.parametrize("side", [1, 2, 3, 32, 64, 256])
+def test_mask_matches_scalar_draw_oracle(side):
+    for ratio in (0.01, 0.3, 0.9, 1.0):
+        for seed in (0, 1, 12345, 2**31 - 1):
+            want = scalar_draw_ranks(side, ratio, seed)
+            assert np.array_equal(draw_mask(side, ratio, seed).kept_ranks, want)
 
 
 @given(st.integers(1, 12), st.integers(0, 1000))

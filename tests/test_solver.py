@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import naive_tv
+from _oracles import naive_tv, pdhg_reference
+from cstv.generators import gen_ecg_like
 from cstv.sampling import draw_mask, measure, project_constraint
-from cstv.signal import ImageMatrix
+from cstv.signal import ImageMatrix, Signal1D, reshape_to_image
 from cstv.solver import (
     SolverConfig,
     SolverFailure,
@@ -47,6 +48,22 @@ def test_grad_two_by_two_example():
 def test_grad_single_pixel():
     gx, gy = grad(np.array([[5.0]]))
     assert gx.tolist() == [[0.0]] and gy.tolist() == [[0.0]]
+
+
+@pytest.mark.parametrize("side", [1, 2, 7, 16])
+def test_out_forms_match_allocating_forms_on_dirty_buffers(side):
+    rng = np.random.default_rng(side)
+    x = rng.normal(size=(side, side))
+    px, py = rng.normal(size=(side, side)), rng.normal(size=(side, side))
+    out_x, out_y, out_div = np.full((3, side, side), np.nan)
+    gx, gy = grad(x, out=(out_x, out_y))
+    assert gx is out_x and gy is out_y
+    assert np.all(gx[-1, :] == 0.0) and np.all(gy[:, -1] == 0.0)
+    for got, want in zip((gx, gy), grad(x)):
+        assert got.tobytes() == want.tobytes()
+    div = divergence(px, py, out=out_div)
+    assert div is out_div
+    assert div.tobytes() == divergence(px, py).tobytes()
 
 
 def test_divergence_of_zero_field_is_zero():
@@ -235,7 +252,61 @@ def test_tv_trend_is_non_increasing_within_band():
 def test_solver_failure_carries_iteration(monkeypatch):
     img = two_block_phantom()
     meas = measure(dct2_forward(img), draw_mask(16, 0.3, seed=0))
-    monkeypatch.setattr("cstv.solver.divergence", lambda gx, gy: np.full_like(gx, np.inf))
+    monkeypatch.setattr("cstv.solver.divergence", lambda gx, gy, out=None: np.full_like(gx, np.inf))
     with pytest.raises(SolverFailure) as excinfo:
         reconstruct(meas, SolverConfig(max_iters=10))
     assert excinfo.value.iteration == 1
+
+
+def ecg_measurements(ratio, seed, scale=1.0):
+    """A centred n=1000 ECG embedded at side 32, measured at (ratio, seed)."""
+    samples = gen_ecg_like(1000, bpm=60, fs=250, seed=3).samples * scale
+    img = reshape_to_image(Signal1D(samples - np.mean(samples)))
+    return measure(dct2_forward(img), draw_mask(img.side, ratio, seed))
+
+
+def phantom_measurements(ratio, seed):
+    return measure(dct2_forward(two_block_phantom()), draw_mask(16, ratio, seed))
+
+
+def assert_matches_reference(meas, config):
+    got, want = reconstruct(meas, config), pdhg_reference(meas, config)
+    assert np.max(np.abs(got.image.values - want.image.values)) == 0.0
+    assert got.iters_used == want.iters_used
+    assert got.converged == want.converged
+    assert got.history == want.history
+    assert got.final_tv == want.final_tv
+    assert got.constraint_residual == want.constraint_residual
+    return got
+
+
+def test_reconstruct_equals_allocating_reference_on_phantom():
+    # seeds 0-4 at ratio 0.3 run all 500 iterations; (0.9, 11) converges at
+    # iteration 219 and full sampling at iteration 2
+    converged = []
+    for ratio, seed in [(0.3, 0), (0.3, 1), (0.3, 2), (0.3, 3), (0.3, 4), (0.9, 11), (1.0, 0)]:
+        result = assert_matches_reference(phantom_measurements(ratio, seed), PHANTOM_CONFIG)
+        converged.append(result.converged)
+    assert converged == [False] * 5 + [True, True]
+
+
+@pytest.mark.parametrize("ratio", [0.3, 0.9])
+def test_reconstruct_equals_allocating_reference_on_ecg(ratio):
+    assert_matches_reference(ecg_measurements(ratio, seed=1), SolverConfig())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflow_fails_at_the_reference_iteration():
+    meas = ecg_measurements(0.5, seed=1, scale=1e200)
+    config = SolverConfig(max_iters=200)
+    with pytest.raises(SolverFailure) as got:
+        reconstruct(meas, config)
+    with pytest.raises(SolverFailure) as want:
+        pdhg_reference(meas, config)
+    assert got.value.iteration == want.value.iteration
+
+
+def test_back_to_back_solves_of_different_sides_share_no_state():
+    config = SolverConfig(max_iters=120, log_every=30)
+    for meas in (ecg_measurements(0.6, seed=2), phantom_measurements(0.3, 1), ecg_measurements(0.6, seed=2)):
+        assert_matches_reference(meas, config)

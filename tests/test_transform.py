@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from _oracles import naive_dct2, zigzag_by_hand
 from cstv.signal import ImageMatrix
-from cstv.transform import dct2_forward, dct2_inverse, zigzag_order
+from cstv.transform import _dct2, _idct2, dct2_forward, dct2_inverse, zigzag_order
 
 
 def random_image(side, seed):
@@ -34,6 +34,15 @@ def test_random_4x4_roundtrip_and_oracle():
     assert np.max(np.abs(spec - naive_dct2(img.values))) < 1e-12
     back = dct2_inverse(spec)
     assert np.max(np.abs(back.values - img.values)) < 1e-12
+
+
+@pytest.mark.parametrize("side", [1, 3, 16])
+def test_out_forms_match_allocating_forms_on_dirty_buffers(side):
+    x = np.random.default_rng(side).normal(size=(side, side))
+    for fn in (_dct2, _idct2):
+        out, work = np.full((2, side, side), np.nan)
+        assert fn(x, out=out, work=work) is out
+        assert out.tobytes() == fn(x).tobytes()
 
 
 def test_dc_only_spectrum_inverts_to_constant():
