@@ -1,31 +1,26 @@
 """Total-variation minimization under exact DCT-coefficient constraints.
 
-Solves
+Solves  minimize TV(X)  subject to  measured coefficients of DCT2(X) fixed
+by split Bregman (Goldstein & Osher 2009), an ADMM on d = grad X with
+penalty MU and scaled dual b.  -div(grad(.)) is diagonal in the orthonormal
+DCT-II basis, with eigenvalues lambda_kl = 4 - 2 cos(pi k / side)
+- 2 cos(pi l / side), so the X-update is exact and costs one DCT pair: the
+free coefficients of DCT2(div(b) - div(d)) are divided by lambda_kl, and
+the measured ones (and DC, where lambda is 0) keep their values.  There is
+no step size.  d is grad X + b shrunk per pixel, isotropically, by 1/MU;
+then b += grad X - d.
 
-    minimize  TV(X)  subject to  measured coefficients of DCT2(X) fixed
+The solve runs in units of g = TV(X0) / side^2, the mean gradient
+magnitude of the zero-filled start X0, and scales its result back by g.
+TV is positively homogeneous, so one MU fits every amplitude; X0 is
+returned as it is when TV(X0) = 0.  The solve stops when the primal
+residual ||grad X - d|| and the dual residual MU ||div(d - d_prev)||
+(Boyd et al. 2011, section 3.3) are at most tol times max(||grad X||,
+||d||) and MU ||div b||; ``converged`` means exactly that.
 
-with a first-order primal-dual scheme: each iteration takes one dual
-ascent step on the TV term (per-pixel gradients, clamped to the unit
-Euclidean ball), then a primal step through the divergence, and finally
-projects the iterate back onto the constraint set by overwriting the
-measured DCT coefficients.  Because the transform is orthonormal, that
-overwrite is the exact Euclidean projection, so every iterate is feasible.
-
-Stability requires step_primal * step_dual * 8 <= 1; the squared operator
-norm of the discrete gradient is at most 8.
-
-Stopping needs care.  The composition div(grad(.)) is diagonal in the
-DCT-II basis, so while no dual pixel is clamped the whole primal update is
-annihilated by the constraint projection and the image does not move even
-though the solve has barely started.  Convergence is therefore declared
-only when the relative change of the primal iterate AND of the dual
-variable both fall below tol.
-
-The iteration allocates no array after setup: every step writes into
-buffers made once per call, through the ``out=`` forms of the operators
-the tests check, so the iterates are bit-identical to the allocating
-forms.  The stopping norms are BLAS dot products over whole buffers, as
-``np.linalg.norm`` computes them, rather than sums over fresh temporaries.
+No array is allocated after setup: every step writes into buffers made
+once per call, through the ``out=`` forms of the operators the tests
+check, and the norms are BLAS dot products over whole buffers.
 """
 
 from __future__ import annotations
@@ -43,11 +38,12 @@ from .transform import _dct2, _idct2
 
 Array = np.ndarray
 
-GRAD_SQ_NORM_BOUND = 8.0
+MU = 2.0
+"""ADMM penalty, in units of the start's mean gradient magnitude."""
 
 
 class SolverFailure(RuntimeError):
-    """A non-finite value appeared in an iteration's stopping norms."""
+    """A non-finite value appeared in the start's TV or a stopping norm."""
 
     def __init__(self, iteration: int, message: str | None = None):
         self.iteration = iteration
@@ -56,16 +52,10 @@ class SolverFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration budget, stopping tolerance and step sizes.
-
-    Defaults satisfy the stability bound with a small slack
-    (8 * 0.35 * 0.35 = 0.98).
-    """
+    """Iteration budget, relative residual tolerance and history spacing."""
 
     max_iters: int = 500
-    tol: float = 1e-6
-    step_primal: float = 0.35
-    step_dual: float = 0.35
+    tol: float = 1e-4
     log_every: int = 50
 
     def __post_init__(self) -> None:
@@ -73,10 +63,6 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if not self.tol > 0.0:
             raise ValueError("tol must be > 0")
-        if self.step_primal <= 0.0 or self.step_dual <= 0.0:
-            raise ValueError("step sizes must be positive")
-        if self.step_primal * self.step_dual * GRAD_SQ_NORM_BOUND > 1.0 + 1e-12:
-            raise ValueError("unstable steps: step_primal * step_dual * 8 must be <= 1")
         if self.log_every < 1:
             raise ValueError("log_every must be >= 1")
 
@@ -88,6 +74,8 @@ class ReconstructionResult:
     final_tv: float
     constraint_residual: float
     converged: bool
+    start: ImageMatrix
+    """The zero-filled start: measured coefficients, zeros elsewhere."""
     history: tuple[tuple[int, float, float], ...] = field(default=())
     """(iteration, relative primal change, tv) sampled every log_every."""
 
@@ -96,11 +84,17 @@ def grad(x: Array, out: tuple[Array, Array] | None = None) -> tuple[Array, Array
     """Per-pixel forward differences down rows (gx) and across columns (gy).
 
     Zero on the trailing boundary: the last row of gx and the last column
-    of gy.  ``out`` is an optional (gx, gy) pair to write, distinct from x.
+    of gy.  ``out`` is an optional C-contiguous (gx, gy) pair to write,
+    distinct from x.
     """
-    gx, gy = (np.empty_like(x), np.empty_like(x)) if out is None else out
+    gx, gy = (np.empty_like(x, order="C"), np.empty_like(x, order="C")) if out is None else out
+    if not gy.flags.c_contiguous:
+        raise ValueError("gy must be C-contiguous")
     np.subtract(x[1:, :], x[:-1, :], out=gx[:-1, :])
-    np.subtract(x[:, 1:], x[:, :-1], out=gy[:, :-1])
+    # one pass over the flattened rows; the differences that wrap from the
+    # end of one row to the start of the next land in the zeroed last column
+    flat = x.ravel()
+    np.subtract(flat[1:], flat[:-1], out=gy.reshape(-1)[:-1])
     gx[-1, :] = 0.0
     gy[:, -1] = 0.0
     return gx, gy
@@ -127,83 +121,86 @@ def tv(x: Array) -> float:
 
 
 def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None) -> ReconstructionResult:
-    """Recover an image from a measurement set by constrained TV descent.
+    """Recover an image from a measurement set by constrained TV minimization.
 
-    Starts from the zero-filled spectrum (feasible by construction) and
-    iterates dual ascent / primal step / constraint projection until both
-    primal and dual relative changes drop below config.tol, or max_iters.
-    Raises :class:`SolverFailure` when a norm of that test is not finite.
+    Starts from the zero-filled spectrum (feasible by construction).  Raises
+    :class:`SolverFailure` when TV of the start (as iteration 1) or a norm
+    of the stopping test is not finite.
     """
-    if config is None:
-        config = SolverConfig()
+    config = config or SolverConfig()
     side = meas.mask.side
-    spec = np.zeros((side, side), dtype=np.float64)
-    project_constraint(spec, meas)
-    work = np.empty_like(spec)
-    x = _idct2(spec)
-    x_new = np.empty_like(x)
-    x_bar = x.copy()
-    # the dual field (px, py) is stacked so that one dot product gives its
-    # norm; g holds the gradient and then the next dual field
-    p = np.zeros((2, side, side))
-    g = np.empty_like(p)
-    mag = np.empty_like(x)
+    pinned = np.zeros((side, side))
+    project_constraint(pinned, meas)
+    start = _idct2(pinned)
+    start_tv = tv(start)
+    if not math.isfinite(start_tv):
+        raise SolverFailure(1)
+    # a start without variation is optimal, and no iteration runs
+    converged = start_tv == 0.0
+    iters_used = 0 if converged else config.max_iters
+    scale = start_tv / (side * side) or 1.0
+    np.divide(pinned, scale, out=pinned)
+    a = 2.0 - 2.0 * np.cos(np.pi * np.arange(side) / side)
+    # 1 / lambda_kl on the free coefficients; 0 at DC, where lambda is 0
+    weight = np.add.outer(a, a)
+    np.divide(1.0, weight, out=weight, where=weight > 0.0)
+    weight[meas.mask.rows, meas.mask.cols] = 0.0
 
-    sigma = config.step_dual
-    tau = config.step_primal
-    floor = 1e-30
+    # d is never stored: each iteration makes it from grad x + b and keeps
+    # div(d).  rhs holds div(b) - div(d) for the x-update.
+    x = start / scale
+    rhs, div_d = np.zeros_like(x), np.zeros_like(x)
+    spec, work = np.empty_like(x), np.empty_like(x)
+    g, b = np.empty((2, side, side)), np.zeros((2, side, side))
     history: list[tuple[int, float, float]] = []
-    iters_used = config.max_iters
-    converged = False
 
-    for k in range(1, config.max_iters + 1):
-        grad(x_bar, out=(g[0], g[1]))
-        np.multiply(g, sigma, out=g)
-        np.add(p, g, out=g)
-        np.multiply(g[0], g[0], out=mag)
-        np.add(mag, np.multiply(g[1], g[1], out=work), out=mag)
-        np.sqrt(mag, out=mag)
-        np.maximum(mag, 1.0, out=mag)
-        np.divide(g, mag, out=g)
-        dual_norm = max(float(np.linalg.norm(p)), floor)
-        dual_change = float(np.linalg.norm(np.subtract(g, p, out=p)))
-        p, g = g, p
-
-        step = divergence(p[0], p[1], out=g[0])
-        np.multiply(step, tau, out=step)
-        np.add(x, step, out=x_new)
-        _dct2(x_new, out=spec, work=work)
-        project_constraint(spec, meas)
-        _idct2(spec, out=x_new, work=work)
-
-        primal_change = float(np.linalg.norm(np.subtract(x_new, x, out=work)))
-        primal_norm = max(float(np.linalg.norm(x)), floor)
-        # a non-finite iterate makes primal_change non-finite; the norms can
-        # also overflow on their own while every entry stays finite
-        if not all(map(math.isfinite, (dual_change, dual_norm, primal_change, primal_norm))):
-            raise SolverFailure(k)
-        np.multiply(x_new, 2.0, out=x_bar)
-        np.subtract(x_bar, x, out=x_bar)
-        x, x_new = x_new, x
-
-        rel_primal = primal_change / primal_norm
+    for k in range(1, iters_used + 1):
+        _dct2(rhs, out=spec, work=work)
+        np.multiply(spec, weight, out=spec)
+        np.add(spec, pinned, out=spec)
+        x_new = _idct2(spec, out=rhs, work=work)
         if k % config.log_every == 0:
-            history.append((k, rel_primal, tv(x)))
-        if rel_primal < config.tol and dual_change / dual_norm < config.tol:
-            iters_used = k
-            converged = True
+            change = float(np.linalg.norm(np.subtract(x_new, x, out=work)))
+            history.append((k, change / max(float(np.linalg.norm(x)), 1e-30), tv(x_new) * scale))
+        x, mag = x_new, x
+
+        # b becomes u = grad x + b; mag holds |u| per pixel, then the factor
+        # that shrinks u to d
+        gx = grad(x, out=(g[0], g[1]))
+        grad_norm = float(np.linalg.norm(g))
+        np.add(b, g, out=b)
+        np.multiply(b[0], b[0], out=mag)
+        np.add(mag, np.multiply(b[1], b[1], out=work), out=mag)
+        np.sqrt(mag, out=mag)
+        np.maximum(np.subtract(mag, 1.0 / MU, out=work), 0.0, out=work)
+        d_norm = float(np.linalg.norm(work))
+        np.divide(work, np.maximum(mag, 1.0 / MU, out=mag), out=mag)
+        for c in range(2):
+            np.subtract(gx[c], np.multiply(b[c], mag, out=work), out=g[c])
+        primal = float(np.linalg.norm(g))
+        for c in range(2):
+            np.multiply(b[c], mag, out=g[c])
+        np.subtract(b, g, out=b)
+        new_div_d = divergence(g[0], g[1], out=work)
+        dual = MU * float(np.linalg.norm(np.subtract(new_div_d, div_d, out=mag)))
+        div_d, work = new_div_d, div_d
+        div_b = divergence(b[0], b[1], out=mag)
+        dual_scale = MU * float(np.linalg.norm(div_b))
+        rhs = np.subtract(div_b, div_d, out=mag)
+
+        primal_scale = max(grad_norm, d_norm)
+        if not all(map(math.isfinite, (primal, primal_scale, dual, dual_scale))):
+            raise SolverFailure(k)
+        if primal <= config.tol * primal_scale and dual <= config.tol * dual_scale:
+            iters_used, converged = k, True
             break
 
+    np.multiply(x, scale, out=x)
     final_spec = _dct2(x)
     residual = float(np.max(np.abs(final_spec[meas.mask.rows, meas.mask.cols] - meas.values)))
-    return ReconstructionResult(
-        image=ImageMatrix(x),
-        iters_used=iters_used,
-        final_tv=tv(x),
-        constraint_residual=residual,
-        converged=converged,
-        history=tuple(history),
-    )
+    return ReconstructionResult(image=ImageMatrix(x), iters_used=iters_used, final_tv=tv(x),
+                                constraint_residual=residual, converged=converged,
+                                start=ImageMatrix(start), history=tuple(history))
 
 
 def load_solver_config(path: str | Path) -> SolverConfig:

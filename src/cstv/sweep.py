@@ -83,6 +83,9 @@ class SweepRow:
     iters_used: int
     converged: bool
     wall_time: float
+    start_mse: float = float("nan")
+    """MSE of the solver's zero-filled start, the baseline a recovery must beat."""
+    final_tv: float = float("nan")
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,8 @@ class SweepReport:
     rows: tuple[SweepRow, ...]
     median_mse: tuple[tuple[float, float], ...]
     """Per-ratio (ratio, median mse over seeds), failed rows excluded."""
+    median_start_mse: tuple[tuple[float, float], ...]
+    """The same medians for the zero-filled starts of those rows."""
 
 
 def _run_row(args: tuple[Signal1D, float, int, SolverConfig]) -> SweepRow:
@@ -97,18 +102,12 @@ def _run_row(args: tuple[Signal1D, float, int, SolverConfig]) -> SweepRow:
     start = time.perf_counter()
     try:
         recovered, result = recover_signal(signal, ratio, seed, config)
-        row_mse = mse(signal, recovered)
-        iters, converged = result.iters_used, result.converged
+        start_samples = flatten_to_signal(result.start, len(signal)).samples + mean_value(signal)
+        row = dict(mse=mse(signal, recovered), iters_used=result.iters_used, converged=result.converged,
+                   start_mse=mse(signal, Signal1D(start_samples)), final_tv=result.final_tv)
     except SolverFailure as failure:
-        row_mse, iters, converged = float("nan"), failure.iteration, False
-    return SweepRow(
-        ratio=ratio,
-        seed=seed,
-        mse=row_mse,
-        iters_used=iters,
-        converged=converged,
-        wall_time=time.perf_counter() - start,
-    )
+        row = dict(mse=float("nan"), iters_used=failure.iteration, converged=False)
+    return SweepRow(ratio=ratio, seed=seed, wall_time=time.perf_counter() - start, **row)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepReport:
@@ -133,11 +132,12 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepReport:
     else:
         rows = [_run_row(job) for job in jobs]
 
-    medians = []
-    for ratio in sorted(spec.ratios):
-        values = [r.mse for r in rows if r.ratio == ratio and not np.isnan(r.mse)]
-        medians.append((ratio, float(np.median(values)) if values else float("nan")))
-    return SweepReport(rows=tuple(rows), median_mse=tuple(medians))
+    def medians(key):
+        done = {ratio: [getattr(r, key) for r in rows if r.ratio == ratio and not np.isnan(r.mse)]
+                for ratio in sorted(spec.ratios)}
+        return tuple((ratio, float(np.median(v)) if v else float("nan")) for ratio, v in done.items())
+
+    return SweepReport(rows=tuple(rows), median_mse=medians("mse"), median_start_mse=medians("start_mse"))
 
 
 def write_report_csv(report: SweepReport, path: str | Path) -> None:
@@ -151,7 +151,8 @@ def write_report_csv(report: SweepReport, path: str | Path) -> None:
 
 
 def write_report_sidecar(report: SweepReport, spec: SweepSpec, path: str | Path) -> None:
-    """Provenance sidecar: spec, solver config, version, medians, timings."""
+    """Provenance sidecar: spec, solver config, version, medians (also of
+    the zero-filled starts), per-row start MSE and timings."""
     payload = {
         "version": __version__,
         "source": spec.source,
@@ -160,6 +161,8 @@ def write_report_sidecar(report: SweepReport, spec: SweepSpec, path: str | Path)
         "seeds": list(spec.seeds),
         "solver": asdict(spec.solver),
         "median_mse": {repr(ratio): med for ratio, med in report.median_mse},
+        "median_start_mse": {repr(ratio): med for ratio, med in report.median_start_mse},
+        "start_mse_rows": [r.start_mse for r in report.rows],
         "wall_time_total": sum(r.wall_time for r in report.rows),
         "wall_time_rows": [r.wall_time for r in report.rows],
     }

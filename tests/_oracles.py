@@ -4,7 +4,8 @@ These deliberately avoid the package's own implementation paths: the DCT
 oracle is a direct quadruple loop over the transform definition, the TV
 oracle evaluates the per-pixel difference formula with explicit Python
 loops, the mask oracle draws one swap target per call, and the solver
-oracle is the PDHG loop written with a fresh array for every intermediate.
+oracle is the split-Bregman loop written with a fresh array for every
+intermediate.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import numpy as np
 
 from cstv.signal import ImageMatrix
-from cstv.solver import ReconstructionResult, SolverConfig, SolverFailure
+from cstv.solver import MU, ReconstructionResult, SolverConfig, SolverFailure
 from cstv.transform import _dct_basis
 
 
@@ -95,59 +96,60 @@ def _divergence(gx, gy):
     return div
 
 
-def pdhg_reference(meas, config: SolverConfig) -> ReconstructionResult:
-    """The constrained-TV PDHG solve, allocating every intermediate.
+def admm_reference(meas, config: SolverConfig) -> ReconstructionResult:
+    """The scaled split-Bregman solve, allocating every intermediate and
+    storing d itself rather than its divergence.
 
-    Same iteration, stopping test and failure rule as ``reconstruct``; the
-    stopping norms are summed with ``np.sum``, and TV is :func:`naive_tv`.
+    Same iteration, stopping test and failure rule as ``reconstruct``; TV is
+    :func:`naive_tv`.
     """
     rows, cols = meas.mask.rows, meas.mask.cols
-    c = _dct_basis(meas.mask.side)
-    spec0 = np.zeros((meas.mask.side, meas.mask.side))
+    side = meas.mask.side
+    c = _dct_basis(side)
+    spec0 = np.zeros((side, side))
     spec0[rows, cols] = meas.values
-    x = c.T @ spec0 @ c
-    x_bar = x.copy()
-    px = np.zeros_like(x)
-    py = np.zeros_like(x)
+    start = c.T @ spec0 @ c
+    scale = naive_tv(start) / (side * side)
+    if not math.isfinite(scale):
+        raise SolverFailure(1)
+    x = start
+    iters_used, converged, history = 0, True, []
+    if scale != 0.0:
+        pinned = spec0 / scale
+        a = 2.0 - 2.0 * np.cos(np.pi * np.arange(side) / side)
+        lam = a[:, None] + a[None, :]
+        weight = np.zeros_like(lam)
+        weight[lam > 0.0] = 1.0 / lam[lam > 0.0]
+        weight[rows, cols] = 0.0
+        x = start / scale
+        d = np.zeros((2, side, side))
+        b = np.zeros((2, side, side))
+        iters_used, converged = config.max_iters, False
+        for k in range(1, config.max_iters + 1):
+            rhs = _divergence(*b) - _divergence(*d)
+            x_new = c.T @ ((c @ rhs @ c.T) * weight + pinned) @ c
+            if k % config.log_every == 0:
+                rel_change = float(np.linalg.norm(x_new - x)) / max(float(np.linalg.norm(x)), 1e-30)
+                history.append((k, rel_change, naive_tv(x_new) * scale))
+            x = x_new
 
-    sigma = config.step_dual
-    tau = config.step_primal
-    floor = 1e-30
-    history = []
-    iters_used = config.max_iters
-    converged = False
-
-    for k in range(1, config.max_iters + 1):
-        gx, gy = _grad(x_bar)
-        px_new = px + sigma * gx
-        py_new = py + sigma * gy
-        mag = np.sqrt(px_new * px_new + py_new * py_new)
-        np.maximum(mag, 1.0, out=mag)
-        px_new /= mag
-        py_new /= mag
-        dual_change = float(np.sqrt(np.sum((px_new - px) ** 2 + (py_new - py) ** 2)))
-        dual_norm = max(float(np.sqrt(np.sum(px * px + py * py))), floor)
-        px, py = px_new, py_new
-
-        x_new = x + tau * _divergence(px, py)
-        spec = c @ x_new @ c.T
-        spec[rows, cols] = meas.values
-        x_new = c.T @ spec @ c
-
-        primal_change = float(np.linalg.norm(x_new - x))
-        primal_norm = max(float(np.linalg.norm(x)), floor)
-        if not all(map(math.isfinite, (dual_change, dual_norm, primal_change, primal_norm))):
-            raise SolverFailure(k)
-        x_bar = 2.0 * x_new - x
-        x = x_new
-
-        rel_primal = primal_change / primal_norm
-        if k % config.log_every == 0:
-            history.append((k, rel_primal, naive_tv(x)))
-        if rel_primal < config.tol and dual_change / dual_norm < config.tol:
-            iters_used = k
-            converged = True
-            break
+            g = np.stack(_grad(x))
+            u = g + b
+            mag = np.sqrt(u[0] * u[0] + u[1] * u[1])
+            shrunk = np.maximum(mag - 1.0 / MU, 0.0)
+            d_new = u * (shrunk / np.maximum(mag, 1.0 / MU))
+            primal = float(np.linalg.norm(g - d_new))
+            primal_scale = max(float(np.linalg.norm(g)), float(np.linalg.norm(shrunk)))
+            dual = MU * float(np.linalg.norm(_divergence(*d_new) - _divergence(*d)))
+            b = u - d_new
+            d = d_new
+            dual_scale = MU * float(np.linalg.norm(_divergence(*b)))
+            if not all(map(math.isfinite, (primal, primal_scale, dual, dual_scale))):
+                raise SolverFailure(k)
+            if primal <= config.tol * primal_scale and dual <= config.tol * dual_scale:
+                iters_used, converged = k, True
+                break
+        x = x * scale
 
     final_spec = c @ x @ c.T
     residual = float(np.max(np.abs(final_spec[rows, cols] - meas.values)))
@@ -157,5 +159,6 @@ def pdhg_reference(meas, config: SolverConfig) -> ReconstructionResult:
         final_tv=naive_tv(x),
         constraint_residual=residual,
         converged=converged,
+        start=ImageMatrix(start),
         history=tuple(history),
     )

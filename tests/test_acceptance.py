@@ -95,7 +95,7 @@ def test_criterion_5_exact_recovery_oracle():
     img[10:12, 9:12] = -2.0
     phantom = ImageMatrix(img)
     spectrum = dct2_forward(phantom)
-    config = SolverConfig(max_iters=500, tol=1e-12, step_primal=0.07, step_dual=1.75)
+    config = SolverConfig(max_iters=500, tol=1e-12)
     variance = float(np.var(img))
     worst_rel, worst_time = 0.0, 0.0
     for seed in range(5):
@@ -124,8 +124,7 @@ def test_criterion_6_table_trend():
         signal=signal,
         ratios=RATIO_GRID,
         seeds=tuple(range(9)),
-        solver=SolverConfig(max_iters=2000, tol=1e-12, step_primal=0.35,
-                            step_dual=0.35, log_every=2000),
+        solver=SolverConfig(max_iters=2000, tol=1e-12, log_every=2000),
         source="gen:ecg(n=4096,bpm=36,fs=4800,seed=0)",
     )
     report = run_sweep(spec)

@@ -77,7 +77,7 @@ def test_reconstruct_with_solver_config(tmp_path):
     out = tmp_path / "out.csv"
     run_cli("gen", "--kind", "ecg", "--n", "256", "--fs", "64", "--bpm", "60",
             "--seed", "2", "--out", str(src))
-    cfg.write_text("max_iters = 20\nstep_primal = 0.07\nstep_dual = 1.75\n")
+    cfg.write_text("max_iters = 20\n")
     assert run_cli("reconstruct", "--in", str(src), "--ratio", "0.4", "--seed", "0",
                    "--solver", str(cfg), "--out", str(out)) == EXIT_OK
 

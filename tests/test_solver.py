@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import naive_tv, pdhg_reference
+from _oracles import admm_reference, naive_tv
 from cstv.generators import gen_ecg_like
 from cstv.sampling import draw_mask, measure, project_constraint
 from cstv.signal import ImageMatrix, Signal1D, reshape_to_image
@@ -31,7 +31,7 @@ def two_block_phantom():
     return image(img)
 
 
-PHANTOM_CONFIG = SolverConfig(max_iters=500, tol=1e-12, step_primal=0.07, step_dual=1.75)
+PHANTOM_CONFIG = SolverConfig(max_iters=500, tol=1e-12)
 
 
 def test_grad_constant_image_is_zero():
@@ -160,32 +160,35 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(step_primal=0.5, step_dual=0.5)  # 8 * 0.25 = 2 > 1
-    with pytest.raises(ValueError):
         SolverConfig(log_every=0)
-    assert SolverConfig().step_primal * SolverConfig().step_dual * 8.0 <= 1.0
 
 
 def test_solver_config_file_json(tmp_path):
     p = tmp_path / "cfg.json"
-    p.write_text('{"max_iters": 100, "tol": 1e-8, "step_primal": 0.1, "step_dual": 1.2, "log_every": 10}')
+    p.write_text('{"max_iters": 100, "tol": 1e-8, "log_every": 10}')
     cfg = load_solver_config(p)
     assert cfg.max_iters == 100 and cfg.tol == 1e-8
-    assert cfg.step_primal == 0.1 and cfg.step_dual == 1.2 and cfg.log_every == 10
+    assert cfg.log_every == 10
 
 
 def test_solver_config_file_key_value(tmp_path):
     p = tmp_path / "cfg.txt"
-    p.write_text("max_iters = 64\ntol: 1e-7\n# comment\nstep_primal = 0.07\nstep_dual = 1.75\n")
+    p.write_text("max_iters = 64\ntol: 1e-7\n# comment\n")
     cfg = load_solver_config(p)
     assert cfg.max_iters == 64 and cfg.tol == 1e-7
-    assert cfg.step_primal == 0.07 and cfg.step_dual == 1.75
 
 
 def test_solver_config_file_rejects_unknown_keys(tmp_path):
     p = tmp_path / "cfg.txt"
     p.write_text("bogus = 3\n")
     with pytest.raises(ValueError):
+        load_solver_config(p)
+
+
+def test_solver_config_file_rejects_the_removed_step_sizes(tmp_path):
+    p = tmp_path / "cfg.txt"
+    p.write_text("max_iters = 64\nstep_primal = 0.35\nstep_dual = 0.35\n")
+    with pytest.raises(ValueError, match="step_dual', 'step_primal"):
         load_solver_config(p)
 
 
@@ -228,7 +231,7 @@ def test_feasibility_after_reconstruct():
 def test_history_sampling():
     img = two_block_phantom()
     meas = measure(dct2_forward(img), draw_mask(16, 0.3, seed=1))
-    cfg = SolverConfig(max_iters=120, tol=1e-12, step_primal=0.07, step_dual=1.75, log_every=25)
+    cfg = SolverConfig(max_iters=120, tol=1e-12, log_every=25)
     result = reconstruct(meas, cfg)
     assert [it for it, _, _ in result.history] == [25, 50, 75, 100]
 
@@ -239,7 +242,7 @@ def test_tv_trend_is_non_increasing_within_band():
     img = two_block_phantom()
     for seed in range(5):
         meas = measure(dct2_forward(img), draw_mask(16, 0.3, seed))
-        cfg = SolverConfig(max_iters=500, tol=1e-12, step_primal=0.07, step_dual=1.75, log_every=50)
+        cfg = SolverConfig(max_iters=500, tol=1e-12, log_every=50)
         result = reconstruct(meas, cfg)
         tvs = [t for it, _, t in result.history if it > 10]
         band = 0.02 * tvs[0]
@@ -270,7 +273,7 @@ def phantom_measurements(ratio, seed):
 
 
 def assert_matches_reference(meas, config):
-    got, want = reconstruct(meas, config), pdhg_reference(meas, config)
+    got, want = reconstruct(meas, config), admm_reference(meas, config)
     assert np.max(np.abs(got.image.values - want.image.values)) == 0.0
     assert got.iters_used == want.iters_used
     assert got.converged == want.converged
@@ -281,13 +284,13 @@ def assert_matches_reference(meas, config):
 
 
 def test_reconstruct_equals_allocating_reference_on_phantom():
-    # seeds 0-4 at ratio 0.3 run all 500 iterations; (0.9, 11) converges at
-    # iteration 219 and full sampling at iteration 2
+    # seeds 0-4 at ratio 0.3 converge at iterations 199-440, (0.9, 11) at
+    # iteration 40 and full sampling at iteration 3
     converged = []
     for ratio, seed in [(0.3, 0), (0.3, 1), (0.3, 2), (0.3, 3), (0.3, 4), (0.9, 11), (1.0, 0)]:
         result = assert_matches_reference(phantom_measurements(ratio, seed), PHANTOM_CONFIG)
         converged.append(result.converged)
-    assert converged == [False] * 5 + [True, True]
+    assert converged == [True] * 7
 
 
 @pytest.mark.parametrize("ratio", [0.3, 0.9])
@@ -302,7 +305,7 @@ def test_overflow_fails_at_the_reference_iteration():
     with pytest.raises(SolverFailure) as got:
         reconstruct(meas, config)
     with pytest.raises(SolverFailure) as want:
-        pdhg_reference(meas, config)
+        admm_reference(meas, config)
     assert got.value.iteration == want.value.iteration
 
 

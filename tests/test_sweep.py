@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 import cstv.sweep as sweep_mod
 from cstv.generators import gen_ecg_like
 from cstv.signal import Signal1D
-from cstv.solver import SolverConfig, SolverFailure
+from cstv.solver import SolverConfig, SolverFailure, tv
 from cstv.sweep import SweepSpec, mse, recover_signal, run_sweep, write_report_csv
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
@@ -196,3 +196,82 @@ def test_median_aggregation_ignores_failed_rows(monkeypatch):
     report = run_sweep(small_spec())
     medians = dict(report.median_mse)
     assert not np.isnan(medians[0.4])
+
+
+# Scaling a signal by c > 0 and shifting it scales and shifts its recovery the
+# same way: the pipeline removes the mean, and the solver works in units of
+# its start's mean gradient magnitude.  Measured worst deviation over 750
+# draws: 3e-15 of c * (max|s| + |offset|); the bound leaves a factor of 300.
+EQUIVARIANCE_RTOL = 1e-12
+
+
+@given(
+    st.integers(1, 300),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1e-150, 1e-6, 1.0, 1e6, 1e150]),
+    st.floats(-3.0, 3.0),
+    st.floats(0.02, 1.0),
+    st.integers(0, 1000),
+)
+@settings(max_examples=40, deadline=None)
+def test_recovery_is_scale_and_offset_equivariant(n, data_seed, c, offset, ratio, seed):
+    samples = np.random.default_rng(data_seed).normal(size=n)
+    base, base_result = recover_signal(Signal1D(samples), ratio, seed)
+    scaled, scaled_result = recover_signal(Signal1D(c * samples + c * offset), ratio, seed)
+    deviation = np.max(np.abs(scaled.samples - (c * base.samples + c * offset)))
+    assert deviation <= EQUIVARIANCE_RTOL * c * (np.max(np.abs(samples)) + abs(offset))
+    assert scaled_result.iters_used == base_result.iters_used
+    assert scaled_result.converged == base_result.converged
+
+
+def test_ecg_scaled_by_1e150_converges_after_the_same_iterations():
+    base = gen_ecg_like(1000, bpm=60, fs=250, seed=0)
+    big = Signal1D(base.samples * 1e150)
+    recovered, result = recover_signal(base, 0.5, seed=1)
+    big_recovered, big_result = recover_signal(big, 0.5, seed=1)
+    assert big_result.converged and big_result.iters_used == result.iters_used > 10
+    rel = mse(base, recovered) / np.var(base.samples)
+    assert mse(big, big_recovered) / np.var(big.samples) == pytest.approx(rel, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("ratio", [1e-9, 0.5, 1.0])
+def test_one_to_three_samples_recover(n, ratio):
+    sig = Signal1D([2.5, -1.0, 4.0][:n])
+    recovered, result = recover_signal(sig, ratio, seed=3)
+    assert len(recovered) == n and np.all(np.isfinite(recovered.samples))
+    assert result.converged and result.constraint_residual <= 1e-12
+    if ratio == 1.0 or n == 1:
+        assert mse(sig, recovered) <= 1e-20
+
+
+def test_constant_signal_is_returned_without_iterating():
+    sig = Signal1D(np.full(50, 3.25))
+    recovered, result = recover_signal(sig, 0.3, seed=0)
+    assert np.array_equal(recovered.samples, sig.samples)
+    assert result.converged and result.iters_used == 0
+
+
+def test_one_kept_coefficient_recovers_a_feasible_signal():
+    # the solve runs out its 500 iterations: with one coefficient fixed the
+    # minimum is a piecewise-constant image that ADMM approaches slowly
+    sig = gen_ecg_like(256, bpm=60, fs=64, seed=0)
+    recovered, result = recover_signal(sig, 1e-6, seed=4)
+    assert result.constraint_residual <= 1e-12
+    assert np.isfinite(mse(sig, recovered))
+    assert result.final_tv < tv(result.start.values)
+
+
+def test_ecg_recovery_beats_its_zero_filled_start_from_ratio_045():
+    spec = SweepSpec(
+        signal=gen_ecg_like(1024, bpm=60.0, fs=360.0, seed=5),
+        ratios=(0.3, 0.45, 0.6, 0.75, 0.9),
+        seeds=(0, 1, 2),
+        source="gen:ecg(n=1024,bpm=60,fs=360,seed=5)",
+    )
+    report = run_sweep(spec)
+    starts = dict(report.median_start_mse)
+    for ratio, median in report.median_mse:
+        if ratio >= 0.45:
+            assert median < starts[ratio], (ratio, median, starts[ratio])
+    assert all(np.isfinite(r.start_mse) and r.start_mse > 0.0 for r in report.rows)
