@@ -81,7 +81,7 @@ def _build_parser() -> _Parser:
     rec.add_argument("--dump-images", default=None, metavar="DIR",
                      help="write original/reconstructed PGM images and a bounds sidecar")
     rec.add_argument("--residual-log", default=None, metavar="FILE",
-                     help="write per-iteration relative-change/TV log as CSV")
+                     help="write each iteration's stopping-test residuals as CSV")
 
     swp = sub.add_parser("sweep", help="MSE versus sampling ratio over seeds")
     src = swp.add_mutually_exclusive_group(required=True)
@@ -120,9 +120,9 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     save_signal_csv(recovered, args.out)
     if args.residual_log:
         with open(args.residual_log, "w", newline="") as fh:
-            fh.write("iteration,rel_change,tv\n")
-            for iteration, rel, tv_value in result.history:
-                fh.write(f"{iteration},{rel!r},{tv_value!r}\n")
+            fh.write("iteration,primal,primal_scale,dual,dual_scale\n")
+            for iteration, norms in enumerate(result.residuals, start=1):
+                fh.write(f"{iteration},{','.join(map(repr, norms))}\n")
     if args.dump_images:
         out_dir = Path(args.dump_images)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -16,7 +16,10 @@ TV is positively homogeneous, so one MU fits every amplitude; X0 is
 returned as it is when TV(X0) = 0.  The solve stops when the primal
 residual ||grad X - d|| and the dual residual MU ||div(d - d_prev)||
 (Boyd et al. 2011, section 3.3) are at most tol times max(||grad X||,
-||d||) and MU ||div b||; ``converged`` means exactly that.
+||d||) and MU ||div b||; ``converged`` means exactly that.  Row i of
+``residuals`` holds these four norms (primal, its scale, dual, its scale)
+after iteration i + 1, in solve units: the last row of a converged solve
+is the test passing, and the rows vary with amplitude only by round-off.
 
 No array is allocated after setup: every step writes into buffers made
 once per call, through the ``out=`` forms of the operators the tests
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -52,19 +55,16 @@ class SolverFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration budget, relative residual tolerance and history spacing."""
+    """Iteration budget and relative residual tolerance."""
 
     max_iters: int = 500
     tol: float = 1e-4
-    log_every: int = 50
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not self.tol > 0.0:
             raise ValueError("tol must be > 0")
-        if self.log_every < 1:
-            raise ValueError("log_every must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,9 @@ class ReconstructionResult:
     converged: bool
     start: ImageMatrix
     """The zero-filled start: measured coefficients, zeros elsewhere."""
-    history: tuple[tuple[int, float, float], ...] = field(default=())
-    """(iteration, relative primal change, tv) sampled every log_every."""
+    residuals: tuple[tuple[float, float, float, float], ...]
+    """(primal, primal scale, dual, dual scale) of each iteration's stopping
+    test, in units of TV(start) / side^2."""
 
 
 def grad(x: Array, out: tuple[Array, Array] | None = None) -> tuple[Array, Array]:
@@ -147,22 +148,19 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None) -> Rec
     weight[meas.mask.rows, meas.mask.cols] = 0.0
 
     # d is never stored: each iteration makes it from grad x + b and keeps
-    # div(d).  rhs holds div(b) - div(d) for the x-update.
+    # div(d).  rhs holds div(b) - div(d) for the x-update; no step reads it
+    # after that, so mag shares its buffer.
     x = start / scale
-    rhs, div_d = np.zeros_like(x), np.zeros_like(x)
-    spec, work = np.empty_like(x), np.empty_like(x)
+    rhs = mag = np.zeros_like(x)
+    div_d, spec, work = np.zeros_like(x), np.empty_like(x), np.empty_like(x)
     g, b = np.empty((2, side, side)), np.zeros((2, side, side))
-    history: list[tuple[int, float, float]] = []
+    residuals: list[tuple[float, float, float, float]] = []
 
     for k in range(1, iters_used + 1):
         _dct2(rhs, out=spec, work=work)
         np.multiply(spec, weight, out=spec)
         np.add(spec, pinned, out=spec)
-        x_new = _idct2(spec, out=rhs, work=work)
-        if k % config.log_every == 0:
-            change = float(np.linalg.norm(np.subtract(x_new, x, out=work)))
-            history.append((k, change / max(float(np.linalg.norm(x)), 1e-30), tv(x_new) * scale))
-        x, mag = x_new, x
+        _idct2(spec, out=x, work=work)
 
         # b becomes u = grad x + b; mag holds |u| per pixel, then the factor
         # that shrinks u to d
@@ -186,10 +184,12 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None) -> Rec
         div_d, work = new_div_d, div_d
         div_b = divergence(b[0], b[1], out=mag)
         dual_scale = MU * float(np.linalg.norm(div_b))
-        rhs = np.subtract(div_b, div_d, out=mag)
+        np.subtract(div_b, div_d, out=rhs)
 
         primal_scale = max(grad_norm, d_norm)
-        if not all(map(math.isfinite, (primal, primal_scale, dual, dual_scale))):
+        norms = (primal, primal_scale, dual, dual_scale)
+        residuals.append(norms)
+        if not all(map(math.isfinite, norms)):
             raise SolverFailure(k)
         if primal <= config.tol * primal_scale and dual <= config.tol * dual_scale:
             iters_used, converged = k, True
@@ -200,7 +200,7 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None) -> Rec
     residual = float(np.max(np.abs(final_spec[meas.mask.rows, meas.mask.cols] - meas.values)))
     return ReconstructionResult(image=ImageMatrix(x), iters_used=iters_used, final_tv=tv(x),
                                 constraint_residual=residual, converged=converged,
-                                start=ImageMatrix(start), history=tuple(history))
+                                start=ImageMatrix(start), residuals=tuple(residuals))
 
 
 def load_solver_config(path: str | Path) -> SolverConfig:

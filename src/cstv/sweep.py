@@ -150,9 +150,14 @@ def write_report_csv(report: SweepReport, path: str | Path) -> None:
             fh.write(f"{row.ratio!r},{row.seed},{mse_txt},{row.iters_used},{str(row.converged).lower()}\n")
 
 
+def _nan_to_null(value: float) -> float | None:
+    return None if np.isnan(value) else value
+
+
 def write_report_sidecar(report: SweepReport, spec: SweepSpec, path: str | Path) -> None:
     """Provenance sidecar: spec, solver config, version, medians (also of
-    the zero-filled starts), per-row start MSE and timings."""
+    the zero-filled starts), per-row start MSE and timings.  A failed row's
+    NaN is written as null, so the file is strict JSON."""
     payload = {
         "version": __version__,
         "source": spec.source,
@@ -160,10 +165,10 @@ def write_report_sidecar(report: SweepReport, spec: SweepSpec, path: str | Path)
         "ratios": list(spec.ratios),
         "seeds": list(spec.seeds),
         "solver": asdict(spec.solver),
-        "median_mse": {repr(ratio): med for ratio, med in report.median_mse},
-        "median_start_mse": {repr(ratio): med for ratio, med in report.median_start_mse},
-        "start_mse_rows": [r.start_mse for r in report.rows],
+        "median_mse": {repr(ratio): _nan_to_null(med) for ratio, med in report.median_mse},
+        "median_start_mse": {repr(ratio): _nan_to_null(med) for ratio, med in report.median_start_mse},
+        "start_mse_rows": [_nan_to_null(r.start_mse) for r in report.rows],
         "wall_time_total": sum(r.wall_time for r in report.rows),
         "wall_time_rows": [r.wall_time for r in report.rows],
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")

@@ -42,22 +42,15 @@ def _idct2(y: Array, out: Array | None = None, work: Array | None = None) -> Arr
 
 @dataclass(frozen=True, eq=False)
 class ZigZagOrder:
-    """Bijection rank -> (row, col) along anti-diagonals, JPEG style.
+    """Bijection rank -> (rows[rank], cols[rank]) along anti-diagonals, JPEG style.
 
     Even diagonals (row + col even) run bottom-left to top-right, odd ones
     top-right to bottom-left; rank 0 is always (0, 0).  Equality is
     identity; :func:`zigzag_order` returns one cached object per side.
     """
 
-    side: int
     rows: Array
     cols: Array
-
-    def __len__(self) -> int:
-        return self.side * self.side
-
-    def positions(self) -> list[tuple[int, int]]:
-        return list(zip(self.rows.tolist(), self.cols.tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -65,27 +58,14 @@ def zigzag_order(side: int) -> ZigZagOrder:
     """Enumerate all side^2 positions in zig-zag rank order."""
     if side < 1:
         raise ValueError("side must be >= 1")
-    rows = np.empty(side * side, dtype=np.intp)
-    cols = np.empty(side * side, dtype=np.intp)
-    k = 0
-    for s in range(2 * side - 1):
-        if s % 2 == 0:
-            r, c = min(s, side - 1), s - min(s, side - 1)
-            while r >= 0 and c < side:
-                rows[k], cols[k] = r, c
-                k += 1
-                r -= 1
-                c += 1
-        else:
-            c, r = min(s, side - 1), s - min(s, side - 1)
-            while c >= 0 and r < side:
-                rows[k], cols[k] = r, c
-                k += 1
-                r += 1
-                c -= 1
+    rows, cols = np.divmod(np.arange(side * side, dtype=np.intp), side)
+    diag = rows + cols
+    # by diagonal, then down the odd diagonals and up the even ones
+    rank_to_flat = np.lexsort((np.where(diag % 2 == 1, rows, -rows), diag))
+    rows, cols = rows[rank_to_flat], cols[rank_to_flat]
     rows.setflags(write=False)
     cols.setflags(write=False)
-    return ZigZagOrder(side=side, rows=rows, cols=cols)
+    return ZigZagOrder(rows=rows, cols=cols)
 
 
 def dct2_forward(image: ImageMatrix) -> Array:

@@ -100,8 +100,8 @@ def admm_reference(meas, config: SolverConfig) -> ReconstructionResult:
     """The scaled split-Bregman solve, allocating every intermediate and
     storing d itself rather than its divergence.
 
-    Same iteration, stopping test and failure rule as ``reconstruct``; TV is
-    :func:`naive_tv`.
+    Same iteration, stopping test, residual record and failure rule as
+    ``reconstruct``; TV is :func:`naive_tv`.
     """
     rows, cols = meas.mask.rows, meas.mask.cols
     side = meas.mask.side
@@ -113,7 +113,7 @@ def admm_reference(meas, config: SolverConfig) -> ReconstructionResult:
     if not math.isfinite(scale):
         raise SolverFailure(1)
     x = start
-    iters_used, converged, history = 0, True, []
+    iters_used, converged, residuals = 0, True, []
     if scale != 0.0:
         pinned = spec0 / scale
         a = 2.0 - 2.0 * np.cos(np.pi * np.arange(side) / side)
@@ -127,11 +127,7 @@ def admm_reference(meas, config: SolverConfig) -> ReconstructionResult:
         iters_used, converged = config.max_iters, False
         for k in range(1, config.max_iters + 1):
             rhs = _divergence(*b) - _divergence(*d)
-            x_new = c.T @ ((c @ rhs @ c.T) * weight + pinned) @ c
-            if k % config.log_every == 0:
-                rel_change = float(np.linalg.norm(x_new - x)) / max(float(np.linalg.norm(x)), 1e-30)
-                history.append((k, rel_change, naive_tv(x_new) * scale))
-            x = x_new
+            x = c.T @ ((c @ rhs @ c.T) * weight + pinned) @ c
 
             g = np.stack(_grad(x))
             u = g + b
@@ -144,6 +140,7 @@ def admm_reference(meas, config: SolverConfig) -> ReconstructionResult:
             b = u - d_new
             d = d_new
             dual_scale = MU * float(np.linalg.norm(_divergence(*b)))
+            residuals.append((primal, primal_scale, dual, dual_scale))
             if not all(map(math.isfinite, (primal, primal_scale, dual, dual_scale))):
                 raise SolverFailure(k)
             if primal <= config.tol * primal_scale and dual <= config.tol * dual_scale:
@@ -160,5 +157,5 @@ def admm_reference(meas, config: SolverConfig) -> ReconstructionResult:
         constraint_residual=residual,
         converged=converged,
         start=ImageMatrix(start),
-        history=tuple(history),
+        residuals=tuple(residuals),
     )

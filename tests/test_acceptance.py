@@ -124,7 +124,7 @@ def test_criterion_6_table_trend():
         signal=signal,
         ratios=RATIO_GRID,
         seeds=tuple(range(9)),
-        solver=SolverConfig(max_iters=2000, tol=1e-12, log_every=2000),
+        solver=SolverConfig(max_iters=2000, tol=1e-12),
         source="gen:ecg(n=4096,bpm=36,fs=4800,seed=0)",
     )
     report = run_sweep(spec)

@@ -47,7 +47,7 @@ def test_reconstruct_full_ratio_roundtrip(tmp_path):
     assert mse(original, recovered) <= 1e-10
 
 
-def test_reconstruct_dump_images_and_residual_log(tmp_path):
+def test_reconstruct_dump_images_and_residual_log(tmp_path, capsys):
     src = tmp_path / "in.csv"
     out = tmp_path / "out.csv"
     imgdir = tmp_path / "imgs"
@@ -66,9 +66,14 @@ def test_reconstruct_dump_images_and_residual_log(tmp_path):
     assert set(bounds) == {"original", "reconstructed"}
     assert bounds["original"]["min"] <= bounds["original"]["max"]
 
+    summary = dict(field.split("=") for field in capsys.readouterr().out.split())
     lines = log.read_text().splitlines()
-    assert lines[0] == "iteration,rel_change,tv"
-    assert len(lines) > 1
+    assert lines[0] == "iteration,primal,primal_scale,dual,dual_scale"
+    assert len(lines) == int(summary["iters"]) + 1
+    # the last row of a converged solve passes the default stopping test
+    primal, primal_scale, dual, dual_scale = map(float, lines[-1].split(",")[1:])
+    tol = SolverConfig().tol
+    assert (primal <= tol * primal_scale and dual <= tol * dual_scale) == (summary["converged"] == "True")
 
 
 def test_reconstruct_with_solver_config(tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ import cstv.sweep as sweep_mod
 from cstv.generators import gen_ecg_like
 from cstv.signal import Signal1D
 from cstv.solver import SolverConfig, SolverFailure, tv
-from cstv.sweep import SweepSpec, mse, recover_signal, run_sweep, write_report_csv
+from cstv.sweep import SweepSpec, mse, recover_signal, run_sweep, write_report_csv, write_report_sidecar
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
 
@@ -181,6 +183,21 @@ def test_overflowing_norms_fail_the_solve_and_the_row():
     report = run_sweep(SweepSpec(signal=signal, ratios=(0.5,), seeds=(1,), solver=config))
     (row,) = report.rows
     assert np.isnan(row.mse) and not row.converged and row.iters_used == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_rows_write_a_strict_json_sidecar(tmp_path):
+    signal = Signal1D(gen_ecg_like(256, bpm=60, fs=64, seed=0).samples * 1e200)
+    spec = SweepSpec(signal=signal, ratios=(0.5,), seeds=(1,))
+    path = tmp_path / "failed.json"
+    write_report_sidecar(run_sweep(spec), spec, path)
+
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    sidecar = json.loads(path.read_text(), parse_constant=reject)
+    assert sidecar["median_mse"] == sidecar["median_start_mse"] == {"0.5": None}
+    assert sidecar["start_mse_rows"] == [None]
 
 
 def test_median_aggregation_ignores_failed_rows(monkeypatch):

@@ -18,7 +18,7 @@ from cstv.solver import SolverConfig
 from cstv.sweep import SweepSpec, run_sweep
 
 RATIO_GRID = tuple(round(0.30 + 0.05 * i, 2) for i in range(13))
-SOLVER = SolverConfig(max_iters=1200, tol=1e-12, log_every=1200)
+SOLVER = SolverConfig(max_iters=1200, tol=1e-12)
 
 
 @pytest.mark.slow
