@@ -113,16 +113,24 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _write_residual_log(path: str | None, residuals: tuple[tuple[float, ...], ...]) -> None:
+    if path:
+        with open(path, "w", newline="") as fh:
+            fh.write("iteration,primal,primal_scale,dual,dual_scale\n")
+            for iteration, norms in enumerate(residuals, start=1):
+                fh.write(f"{iteration},{','.join(map(repr, norms))}\n")
+
+
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
     config = load_solver_config(args.solver) if args.solver else SolverConfig()
     signal = load_signal_csv(args.infile)
-    recovered, result = recover_signal(signal, args.ratio, args.seed, config)
+    try:
+        recovered, result = recover_signal(signal, args.ratio, args.seed, config)
+    except SolverFailure as failure:
+        _write_residual_log(args.residual_log, failure.residuals)
+        raise
     save_signal_csv(recovered, args.out)
-    if args.residual_log:
-        with open(args.residual_log, "w", newline="") as fh:
-            fh.write("iteration,primal,primal_scale,dual,dual_scale\n")
-            for iteration, norms in enumerate(result.residuals, start=1):
-                fh.write(f"{iteration},{','.join(map(repr, norms))}\n")
+    _write_residual_log(args.residual_log, result.residuals)
     if args.dump_images:
         out_dir = Path(args.dump_images)
         out_dir.mkdir(parents=True, exist_ok=True)

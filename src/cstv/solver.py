@@ -7,16 +7,21 @@ DCT-II basis, with eigenvalues lambda_kl = 4 - 2 cos(pi k / side)
 - 2 cos(pi l / side), so the X-update is exact and costs one DCT pair: the
 free coefficients of DCT2(div(b) - div(d)) are divided by lambda_kl, and
 the measured ones (and DC, where lambda is 0) keep their values.  There is
-no step size.  d is grad X + b shrunk per pixel, isotropically, by 1/MU;
-then b += grad X - d.
+no step size.  The d-update is over-relaxed (Eckstein & Bertsekas 1992;
+Boyd et al. 2011, section 3.4.3): u = b + (1 - RELAX) d + RELAX grad X is
+shrunk per pixel, isotropically, by 1/MU to the new d, then b = u - d.
+RELAX = 1.4 saves a fifth to a quarter of the iterations on physiological
+signals; above it, d oscillates at the edges of a two-block phantom, which
+then needs more iterations than with no relaxation.
 
 The solve runs in units of g = TV(X0) / side^2, the mean gradient
 magnitude of the zero-filled start X0, and scales its result back by g.
 TV is positively homogeneous, so one MU fits every amplitude; X0 is
-returned as it is when TV(X0) = 0.  The solve stops when the primal
-residual ||grad X - d|| and the dual residual MU ||div(d - d_prev)||
-(Boyd et al. 2011, section 3.3) are at most tol times max(||grad X||,
-||d||) and MU ||div b||; ``converged`` means exactly that.  Row i of
+returned as it is when TV(X0) = 0 or no coefficient is free.  The solve
+stops when the primal residual ||grad X - d|| and the dual residual
+MU ||div(d - d_prev)|| (Boyd et al. 2011, section 3.3) are at most tol
+times max(||grad X||, ||d||) and MU ||div b||; ``converged`` means
+exactly that.  Row i of
 ``residuals`` holds these four norms (primal, its scale, dual, its scale)
 after iteration i + 1, in solve units: the last row of a converged solve
 is the test passing, and the rows vary with amplitude only by round-off.
@@ -44,13 +49,17 @@ Array = np.ndarray
 MU = 2.0
 """ADMM penalty, in units of the start's mean gradient magnitude."""
 
+RELAX = 1.4
+"""Over-relaxation factor of the d-update (1 is plain split Bregman)."""
+
 
 class SolverFailure(RuntimeError):
-    """A non-finite value appeared in the start's TV or a stopping norm."""
+    """A non-finite value appeared in the start's TV or a stopping norm;
+    ``residuals`` holds the stopping-test rows up to it, the non-finite one last."""
 
-    def __init__(self, iteration: int, message: str | None = None):
-        self.iteration = iteration
-        super().__init__(message or f"solver diverged at iteration {iteration}")
+    def __init__(self, iteration: int, residuals: tuple[tuple[float, float, float, float], ...] = ()):
+        self.iteration, self.residuals = iteration, residuals
+        super().__init__(f"solver diverged at iteration {iteration}")
 
 
 @dataclass(frozen=True)
@@ -104,12 +113,20 @@ def grad(x: Array, out: tuple[Array, Array] | None = None) -> tuple[Array, Array
 def divergence(gx: Array, gy: Array, out: Array | None = None) -> Array:
     """Negative adjoint of :func:`grad`:  <grad X, P> == -<X, divergence(P)>
     for fields P that are zero on the trailing boundary.  ``out`` is an
-    optional array to write, distinct from gx and gy."""
-    div = np.empty_like(gx) if out is None else out
+    optional C-contiguous array to write, distinct from gx and gy."""
+    div = np.empty(gx.shape) if out is None else out
+    if not div.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
     np.copyto(div, gx)
     div[1:, :] -= gx[:-1, :]
     div += gy
-    div[:, 1:] -= gy[:, :-1]
+    # one pass over the flattened rows; the differences that wrap from the
+    # end of one row to the start of the next land in column 0, remade here
+    flat = div.reshape(-1)
+    np.subtract(flat[1:], gy.ravel()[:-1], out=flat[1:])
+    np.subtract(gx[1:, 0], gx[:-1, 0], out=div[1:, 0])
+    div[0, 0] = gx[0, 0]
+    div[:, 0] += gy[:, 0]
     return div
 
 
@@ -136,24 +153,25 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None) -> Rec
     start_tv = tv(start)
     if not math.isfinite(start_tv):
         raise SolverFailure(1)
-    # a start without variation is optimal, and no iteration runs
-    converged = start_tv == 0.0
-    iters_used = 0 if converged else config.max_iters
-    scale = start_tv / (side * side) or 1.0
-    np.divide(pinned, scale, out=pinned)
     a = 2.0 - 2.0 * np.cos(np.pi * np.arange(side) / side)
     # 1 / lambda_kl on the free coefficients; 0 at DC, where lambda is 0
     weight = np.add.outer(a, a)
     np.divide(1.0, weight, out=weight, where=weight > 0.0)
     weight[meas.mask.rows, meas.mask.cols] = 0.0
+    # a start without variation is optimal, and one without a free
+    # coefficient cannot move: it is returned as it is, and no iteration runs
+    converged = start_tv == 0.0 or not weight.any()
+    iters_used = 0 if converged else config.max_iters
+    scale = 1.0 if converged else (start_tv / (side * side) or 1.0)
+    np.divide(pinned, scale, out=pinned)
 
-    # d is never stored: each iteration makes it from grad x + b and keeps
-    # div(d).  rhs holds div(b) - div(d) for the x-update; no step reads it
-    # after that, so mag shares its buffer.
+    # the relaxed step reads d, and div(d) is kept so that an iteration takes
+    # two divergences.  rhs holds div(b) - div(d) for the x-update; no step
+    # reads it after that, so mag shares its buffer.
     x = start / scale
     rhs = mag = np.zeros_like(x)
     div_d, spec, work = np.zeros_like(x), np.empty_like(x), np.empty_like(x)
-    g, b = np.empty((2, side, side)), np.zeros((2, side, side))
+    g, b, d = np.zeros((3, 2, side, side))
     residuals: list[tuple[float, float, float, float]] = []
 
     for k in range(1, iters_used + 1):
@@ -162,35 +180,36 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None) -> Rec
         np.add(spec, pinned, out=spec)
         _idct2(spec, out=x, work=work)
 
-        # b becomes u = grad x + b; mag holds |u| per pixel, then the factor
-        # that shrinks u to d
-        gx = grad(x, out=(g[0], g[1]))
-        grad_norm = float(np.linalg.norm(g))
-        np.add(b, g, out=b)
-        np.multiply(b[0], b[0], out=mag)
-        np.add(mag, np.multiply(b[1], b[1], out=work), out=mag)
+        # b becomes u = (b + (1 - RELAX) d) + RELAX grad x, and d is scratch
+        # until it is remade; mag holds |u| per pixel, then the factor that
+        # shrinks u to d.  sqrt(vdot) is np.linalg.norm without its checks.
+        grad(x, out=(g[0], g[1]))
+        grad_norm = math.sqrt(np.vdot(g, g))
+        np.add(b, np.multiply(d, 1.0 - RELAX, out=d), out=b)
+        np.add(b, np.multiply(g, RELAX, out=d), out=b)
+        np.multiply(b, b, out=d)
+        np.add(d[0], d[1], out=mag)
         np.sqrt(mag, out=mag)
         np.maximum(np.subtract(mag, 1.0 / MU, out=work), 0.0, out=work)
-        d_norm = float(np.linalg.norm(work))
+        d_norm = math.sqrt(np.vdot(work, work))
         np.divide(work, np.maximum(mag, 1.0 / MU, out=mag), out=mag)
-        for c in range(2):
-            np.subtract(gx[c], np.multiply(b[c], mag, out=work), out=g[c])
-        primal = float(np.linalg.norm(g))
-        for c in range(2):
-            np.multiply(b[c], mag, out=g[c])
-        np.subtract(b, g, out=b)
-        new_div_d = divergence(g[0], g[1], out=work)
-        dual = MU * float(np.linalg.norm(np.subtract(new_div_d, div_d, out=mag)))
+        np.multiply(b, mag, out=d)
+        np.subtract(g, d, out=g)
+        primal = math.sqrt(np.vdot(g, g))
+        np.subtract(b, d, out=b)
+        new_div_d = divergence(d[0], d[1], out=work)
+        np.subtract(new_div_d, div_d, out=mag)
+        dual = MU * math.sqrt(np.vdot(mag, mag))
         div_d, work = new_div_d, div_d
         div_b = divergence(b[0], b[1], out=mag)
-        dual_scale = MU * float(np.linalg.norm(div_b))
+        dual_scale = MU * math.sqrt(np.vdot(div_b, div_b))
         np.subtract(div_b, div_d, out=rhs)
 
         primal_scale = max(grad_norm, d_norm)
         norms = (primal, primal_scale, dual, dual_scale)
         residuals.append(norms)
         if not all(map(math.isfinite, norms)):
-            raise SolverFailure(k)
+            raise SolverFailure(k, tuple(residuals))
         if primal <= config.tol * primal_scale and dual <= config.tol * dual_scale:
             iters_used, converged = k, True
             break

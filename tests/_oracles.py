@@ -4,8 +4,8 @@ These deliberately avoid the package's own implementation paths: the DCT
 oracle is a direct quadruple loop over the transform definition, the TV
 oracle evaluates the per-pixel difference formula with explicit Python
 loops, the mask oracle draws one swap target per call, and the solver
-oracle is the split-Bregman loop written with a fresh array for every
-intermediate.
+oracle is the over-relaxed split-Bregman loop written with a fresh array
+for every intermediate.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import math
 import numpy as np
 
 from cstv.signal import ImageMatrix
-from cstv.solver import MU, ReconstructionResult, SolverConfig, SolverFailure
-from cstv.transform import _dct_basis
+from cstv.solver import MU, RELAX, ReconstructionResult, SolverConfig, SolverFailure
+from cstv.transform import _dct_basis, _dct_basis_t
 
 
 def naive_dct2(x: np.ndarray) -> np.ndarray:
@@ -97,40 +97,41 @@ def _divergence(gx, gy):
 
 
 def admm_reference(meas, config: SolverConfig) -> ReconstructionResult:
-    """The scaled split-Bregman solve, allocating every intermediate and
-    storing d itself rather than its divergence.
+    """The scaled, over-relaxed split-Bregman solve, allocating every
+    intermediate and taking div(d) afresh each time it is needed.
 
     Same iteration, stopping test, residual record and failure rule as
-    ``reconstruct``; TV is :func:`naive_tv`.
+    ``reconstruct``, with its arithmetic in the same order (the forward DCT
+    multiplies by the same C-contiguous copy of C.T); TV is :func:`naive_tv`.
     """
     rows, cols = meas.mask.rows, meas.mask.cols
     side = meas.mask.side
-    c = _dct_basis(side)
+    c, ct = _dct_basis(side), _dct_basis_t(side)
     spec0 = np.zeros((side, side))
     spec0[rows, cols] = meas.values
     start = c.T @ spec0 @ c
     scale = naive_tv(start) / (side * side)
     if not math.isfinite(scale):
         raise SolverFailure(1)
+    a = 2.0 - 2.0 * np.cos(np.pi * np.arange(side) / side)
+    lam = a[:, None] + a[None, :]
+    weight = np.zeros_like(lam)
+    weight[lam > 0.0] = 1.0 / lam[lam > 0.0]
+    weight[rows, cols] = 0.0
     x = start
     iters_used, converged, residuals = 0, True, []
-    if scale != 0.0:
+    if scale != 0.0 and np.any(weight != 0.0):
         pinned = spec0 / scale
-        a = 2.0 - 2.0 * np.cos(np.pi * np.arange(side) / side)
-        lam = a[:, None] + a[None, :]
-        weight = np.zeros_like(lam)
-        weight[lam > 0.0] = 1.0 / lam[lam > 0.0]
-        weight[rows, cols] = 0.0
         x = start / scale
         d = np.zeros((2, side, side))
         b = np.zeros((2, side, side))
         iters_used, converged = config.max_iters, False
         for k in range(1, config.max_iters + 1):
             rhs = _divergence(*b) - _divergence(*d)
-            x = c.T @ ((c @ rhs @ c.T) * weight + pinned) @ c
+            x = c.T @ ((c @ rhs @ ct) * weight + pinned) @ c
 
             g = np.stack(_grad(x))
-            u = g + b
+            u = (b + (1.0 - RELAX) * d) + RELAX * g
             mag = np.sqrt(u[0] * u[0] + u[1] * u[1])
             shrunk = np.maximum(mag - 1.0 / MU, 0.0)
             d_new = u * (shrunk / np.maximum(mag, 1.0 / MU))
@@ -142,13 +143,13 @@ def admm_reference(meas, config: SolverConfig) -> ReconstructionResult:
             dual_scale = MU * float(np.linalg.norm(_divergence(*b)))
             residuals.append((primal, primal_scale, dual, dual_scale))
             if not all(map(math.isfinite, (primal, primal_scale, dual, dual_scale))):
-                raise SolverFailure(k)
+                raise SolverFailure(k, tuple(residuals))
             if primal <= config.tol * primal_scale and dual <= config.tol * dual_scale:
                 iters_used, converged = k, True
                 break
         x = x * scale
 
-    final_spec = c @ x @ c.T
+    final_spec = c @ x @ ct
     residual = float(np.max(np.abs(final_spec[rows, cols] - meas.values)))
     return ReconstructionResult(
         image=ImageMatrix(x),

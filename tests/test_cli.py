@@ -194,6 +194,20 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch):
                    "--out", str(tmp_path / "o.csv")) == EXIT_SOLVER
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_failed_solve_writes_its_residual_log(tmp_path, monkeypatch):
+    src, out, log = tmp_path / "in.csv", tmp_path / "o.csv", tmp_path / "residuals.csv"
+    run_cli("gen", "--kind", "ecg", "--n", "256", "--fs", "64", "--bpm", "60",
+            "--seed", "2", "--out", str(src))
+    monkeypatch.setattr("cstv.solver.divergence", lambda gx, gy, out=None: np.full_like(gx, np.inf))
+    assert run_cli("reconstruct", "--in", str(src), "--ratio", "0.5", "--seed", "1",
+                   "--out", str(out), "--residual-log", str(log)) == EXIT_SOLVER
+    assert not out.exists()
+    header, row = log.read_text().splitlines()
+    assert header == "iteration,primal,primal_scale,dual,dual_scale"
+    assert row.startswith("1,") and row.endswith(",inf,inf")
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_solve_exits_with_solver_failure(tmp_path):
     src = tmp_path / "huge.csv"

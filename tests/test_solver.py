@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import admm_reference, naive_tv
+from _oracles import _divergence, admm_reference, naive_tv
 from cstv.generators import gen_ecg_like
 from cstv.sampling import draw_mask, measure, project_constraint
 from cstv.signal import ImageMatrix, Signal1D, reshape_to_image
@@ -64,6 +64,10 @@ def test_out_forms_match_allocating_forms_on_dirty_buffers(side):
     div = divergence(px, py, out=out_div)
     assert div is out_div
     assert div.tobytes() == divergence(px, py).tobytes()
+    # py's trailing column is not zero, so the flat pass wraps non-zero
+    # differences into column 0; the strided formula must still hold exactly
+    assert np.all(py[:, -1] != 0.0)
+    assert div.tobytes() == _divergence(px, py).tobytes()
 
 
 def test_divergence_of_zero_field_is_zero():
@@ -268,6 +272,16 @@ def test_solver_failure_carries_iteration(monkeypatch):
     assert excinfo.value.iteration == 1
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_solver_failure_carries_the_residual_rows(monkeypatch):
+    meas = measure(dct2_forward(two_block_phantom()), draw_mask(16, 0.3, seed=0))
+    monkeypatch.setattr("cstv.solver.divergence", lambda gx, gy, out=None: np.full_like(gx, np.inf))
+    with pytest.raises(SolverFailure) as excinfo:
+        reconstruct(meas, SolverConfig(max_iters=10))
+    (row,) = excinfo.value.residuals
+    assert np.isfinite(row[0]) and np.isinf(row[2])
+
+
 def ecg_measurements(ratio, seed, scale=1.0):
     """A centred n=1000 ECG embedded at side 32, measured at (ratio, seed)."""
     samples = gen_ecg_like(1000, bpm=60, fs=250, seed=3).samples * scale
@@ -291,13 +305,23 @@ def assert_matches_reference(meas, config):
 
 
 def test_reconstruct_equals_allocating_reference_on_phantom():
-    # seeds 0-4 at ratio 0.3 converge at iterations 199-440, (0.9, 11) at
-    # iteration 40 and full sampling at iteration 3
+    # seeds 0-4 at ratio 0.3 converge at iterations 225-482 and (0.9, 11)
+    # at iteration 51; full sampling leaves no free coefficient and stops at
+    # iteration 0
     converged = []
     for ratio, seed in [(0.3, 0), (0.3, 1), (0.3, 2), (0.3, 3), (0.3, 4), (0.9, 11), (1.0, 0)]:
         result = assert_matches_reference(phantom_measurements(ratio, seed), PHANTOM_CONFIG)
         converged.append(result.converged)
     assert converged == [True] * 7
+
+
+@pytest.mark.parametrize("meas", [ecg_measurements(1.0, seed=0), phantom_measurements(1.0, 3)], ids=["ecg", "phantom"])
+def test_full_sampling_returns_the_start_without_iterating(meas):
+    # no coefficient is free, so the start is the only image the x-update
+    # can produce
+    result = assert_matches_reference(meas, SolverConfig())
+    assert result.converged and result.iters_used == 0 and result.residuals == ()
+    assert result.image.values.tobytes() == result.start.values.tobytes()
 
 
 @pytest.mark.parametrize("ratio", [0.3, 0.9])

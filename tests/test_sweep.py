@@ -292,3 +292,14 @@ def test_ecg_recovery_beats_its_zero_filled_start_from_ratio_045():
         if ratio >= 0.45:
             assert median < starts[ratio], (ratio, median, starts[ratio])
     assert all(np.isfinite(r.start_mse) and r.start_mse > 0.0 for r in report.rows)
+
+
+@pytest.mark.parametrize("ratio", [0.3, 0.6, 0.9])
+def test_default_solve_ends_within_a_thousandth_of_a_tight_solves_tv(ratio):
+    # stopping at the default tol must not trade TV for speed
+    signal = gen_ecg_like(1024, bpm=60.0, fs=360.0, seed=5)
+    tight = SolverConfig(max_iters=5000, tol=1e-10)
+    for seed in (0, 1):
+        _, result = recover_signal(signal, ratio, seed)
+        _, reference = recover_signal(signal, ratio, seed, tight)
+        assert result.final_tv <= (1.0 + 1e-3) * reference.final_tv, (seed, result.final_tv, reference.final_tv)
