@@ -34,14 +34,7 @@ GENERATORS = {
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
-        raise SystemExit_(EXIT_USAGE, f"{self.prog}: error: {message}")
-
-
-class SystemExit_(Exception):
-    def __init__(self, code: int, message: str = ""):
-        self.code = code
-        self.message = message
-        super().__init__(message)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def write_pgm(values: np.ndarray, path: str | Path) -> tuple[float, float]:
@@ -135,8 +128,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
         out_dir = Path(args.dump_images)
         out_dir.mkdir(parents=True, exist_ok=True)
         bounds = {}
-        for name, values in (("original", reshape_to_image(signal).values),
-                             ("reconstructed", result.image.values)):
+        for name, values in (("original", reshape_to_image(signal)), ("reconstructed", result.image)):
             lo, hi = write_pgm(values, out_dir / f"{name}.pgm")
             bounds[name] = {"min": lo, "max": hi}
         (out_dir / "bounds.json").write_text(json.dumps(bounds, indent=2) + "\n")
@@ -185,8 +177,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "reconstruct":
             return _cmd_reconstruct(args)
         return _cmd_sweep(args)
-    except SystemExit_ as exc:
-        print(exc.message, file=sys.stderr)
+    except SystemExit as exc:  # argparse's usage errors and --help
         return exc.code
     except SolverFailure as exc:
         print(f"cstv: solver failure: {exc}", file=sys.stderr)

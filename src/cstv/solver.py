@@ -41,7 +41,6 @@ from pathlib import Path
 import numpy as np
 
 from .sampling import MeasurementSet, project_constraint
-from .signal import ImageMatrix
 from .transform import _dct2, _idct2
 
 Array = np.ndarray
@@ -54,8 +53,9 @@ RELAX = 1.4
 
 
 class SolverFailure(RuntimeError):
-    """A non-finite value appeared in the start's TV or a stopping norm;
-    ``residuals`` holds the stopping-test rows up to it, the non-finite one last."""
+    """A non-finite value appeared in the centred signal, the start's TV or a
+    stopping norm; ``residuals`` holds the stopping-test rows up to it, the
+    non-finite one last."""
 
     def __init__(self, iteration: int, residuals: tuple[tuple[float, float, float, float], ...] = ()):
         self.iteration, self.residuals = iteration, residuals
@@ -76,14 +76,16 @@ class SolverConfig:
             raise ValueError("tol must be > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReconstructionResult:
-    image: ImageMatrix
+    """Equality is identity: the generated ``==`` would compare arrays."""
+
+    image: Array
     iters_used: int
     final_tv: float
     constraint_residual: float
     converged: bool
-    start: ImageMatrix
+    start: Array
     """The zero-filled start: measured coefficients, zeros elsewhere."""
     residuals: tuple[tuple[float, float, float, float], ...]
     """(primal, primal scale, dual, dual scale) of each iteration's stopping
@@ -217,9 +219,8 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None) -> Rec
     np.multiply(x, scale, out=x)
     final_spec = _dct2(x)
     residual = float(np.max(np.abs(final_spec[meas.mask.rows, meas.mask.cols] - meas.values)))
-    return ReconstructionResult(image=ImageMatrix(x), iters_used=iters_used, final_tv=tv(x),
-                                constraint_residual=residual, converged=converged,
-                                start=ImageMatrix(start), residuals=tuple(residuals))
+    return ReconstructionResult(image=x, iters_used=iters_used, final_tv=tv(x), constraint_residual=residual,
+                                converged=converged, start=start, residuals=tuple(residuals))
 
 
 def load_solver_config(path: str | Path) -> SolverConfig:

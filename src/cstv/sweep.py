@@ -38,10 +38,14 @@ def recover_signal(
     seed: int,
     config: SolverConfig | None = None,
 ) -> tuple[Signal1D, ReconstructionResult]:
-    """Run the full reshape / sample / solve / flatten pipeline once."""
+    """Run the full reshape / sample / solve / flatten pipeline once; centred
+    samples that overflow (near the float maximum) fail at iteration 1."""
     mean = mean_value(signal)
-    image = reshape_to_image(Signal1D(signal.samples - mean))
-    mask = draw_mask(image.side, ratio, seed)
+    centred = signal.samples - mean
+    if not np.all(np.isfinite(centred)):
+        raise SolverFailure(1)
+    image = reshape_to_image(Signal1D(centred))
+    mask = draw_mask(image.shape[0], ratio, seed)
     meas = measure(dct2_forward(image), mask)
     result = reconstruct(meas, config)
     recovered = flatten_to_signal(result.image, len(signal))
@@ -146,8 +150,7 @@ def write_report_csv(report: SweepReport, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("ratio,seed,mse,iters_used,converged\n")
         for row in report.rows:
-            mse_txt = "nan" if np.isnan(row.mse) else repr(row.mse)
-            fh.write(f"{row.ratio!r},{row.seed},{mse_txt},{row.iters_used},{str(row.converged).lower()}\n")
+            fh.write(f"{row.ratio!r},{row.seed},{row.mse!r},{row.iters_used},{str(row.converged).lower()}\n")
 
 
 def _nan_to_null(value: float) -> float | None:

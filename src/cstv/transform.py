@@ -1,8 +1,9 @@
 """Orthonormal 2D DCT-II, its inverse, and zig-zag coefficient ordering.
 
-The transform is computed as separable matrix products against a cached
-cosine basis.  Orthonormal scaling makes the transform an isometry, so
-overwriting coefficients is an exact Euclidean projection in image space.
+Images and spectra are plain square float64 arrays.  The transform is
+computed as separable matrix products against a cached cosine basis.
+Orthonormal scaling makes the transform an isometry, so overwriting
+coefficients is an exact Euclidean projection in image space.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .signal import ImageMatrix
 
 Array = np.ndarray
 
@@ -76,15 +75,6 @@ def zigzag_order(side: int) -> ZigZagOrder:
     return ZigZagOrder(rows=rows, cols=cols)
 
 
-def dct2_forward(image: ImageMatrix) -> Array:
+def dct2_forward(image: Array) -> Array:
     """Separable orthonormal 2D DCT-II of the image, as a coefficient array."""
-    return _dct2(image.values)
-
-
-def dct2_inverse(coeffs: Array) -> ImageMatrix:
-    """Exact inverse of :func:`dct2_forward` up to float round-off.
-
-    The :class:`ImageMatrix` it returns rejects a non-square or non-finite
-    result.
-    """
-    return ImageMatrix(_idct2(coeffs))
+    return _dct2(image)

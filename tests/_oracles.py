@@ -14,7 +14,6 @@ import math
 
 import numpy as np
 
-from cstv.signal import ImageMatrix
 from cstv.solver import MU, RELAX, ReconstructionResult, SolverConfig, SolverFailure
 from cstv.transform import _dct_basis, _dct_basis_t
 
@@ -152,11 +151,11 @@ def admm_reference(meas, config: SolverConfig) -> ReconstructionResult:
     final_spec = c @ x @ ct
     residual = float(np.max(np.abs(final_spec[rows, cols] - meas.values)))
     return ReconstructionResult(
-        image=ImageMatrix(x),
+        image=x,
         iters_used=iters_used,
         final_tv=naive_tv(x),
         constraint_residual=residual,
         converged=converged,
-        start=ImageMatrix(start),
+        start=start,
         residuals=tuple(residuals),
     )

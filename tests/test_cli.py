@@ -167,6 +167,12 @@ def test_usage_error_from_argparse_subprocess():
         capture_output=True,
     )
     assert proc.returncode == EXIT_USAGE
+    assert b"error: argument --kind" in proc.stderr
+
+
+def test_help_returns_ok(capsys):
+    assert run_cli("--help") == EXIT_OK
+    assert "usage: cstv" in capsys.readouterr().out
 
 
 def test_io_error_exit_code(tmp_path):
@@ -213,6 +219,16 @@ def test_overflowing_solve_exits_with_solver_failure(tmp_path):
     src = tmp_path / "huge.csv"
     save_signal_csv(Signal1D(gen_ecg_like(1000, bpm=60, fs=250, seed=0).samples * 1e200), src)
     out = tmp_path / "o.csv"
+    assert run_cli("reconstruct", "--in", str(src), "--ratio", "0.5", "--seed", "1",
+                   "--out", str(out)) == EXIT_SOLVER
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_samples_near_float_max_exit_with_solver_failure(tmp_path):
+    # the mean overflows to inf, so the centred samples are not finite
+    src, out = tmp_path / "near_max.csv", tmp_path / "o.csv"
+    src.write_text("1e308\n1.5e308\n1e308\n1.2e308\n")
     assert run_cli("reconstruct", "--in", str(src), "--ratio", "0.5", "--seed", "1",
                    "--out", str(out)) == EXIT_SOLVER
     assert not out.exists()

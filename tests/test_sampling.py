@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from _oracles import scalar_draw_ranks
 from cstv.sampling import MeasurementMask, MeasurementSet, draw_mask, measure, project_constraint
-from cstv.signal import ImageMatrix
 from cstv.transform import dct2_forward, zigzag_order
 
 
@@ -70,7 +69,7 @@ def test_masks_nest_across_ratios(side, seed):
 
 def test_measure_full_mask_is_zigzag_linearization():
     rng = np.random.default_rng(1)
-    img = ImageMatrix(rng.normal(size=(4, 4)))
+    img = rng.normal(size=(4, 4))
     spec = dct2_forward(img)
     meas = measure(spec, draw_mask(4, 1.0, seed=0))
     order = zigzag_order(4)
@@ -80,7 +79,7 @@ def test_measure_full_mask_is_zigzag_linearization():
 
 def test_measure_dc_of_constant_image():
     side, c = 4, 3.25
-    spec = dct2_forward(ImageMatrix(np.full((side, side), c)))
+    spec = dct2_forward(np.full((side, side), c))
     mask = MeasurementMask(side=side, kept_ranks=np.array([0]))
     meas = measure(spec, mask)
     assert meas.values[0] == pytest.approx(c * side, rel=1e-12)
@@ -101,7 +100,7 @@ def test_measure_side_mismatch():
 
 def test_embed_full_measurement_reproduces_spectrum():
     rng = np.random.default_rng(2)
-    spec = dct2_forward(ImageMatrix(rng.normal(size=(5, 5))))
+    spec = dct2_forward(rng.normal(size=(5, 5)))
     meas = measure(spec, draw_mask(5, 1.0, seed=0))
     assert np.array_equal(zero_filled(meas), spec)
 
@@ -118,7 +117,7 @@ def test_embed_single_dc_measurement():
 @settings(max_examples=50)
 def test_measure_embed_measure_roundtrip(side, ratio, seed):
     rng = np.random.default_rng(seed)
-    spec = dct2_forward(ImageMatrix(rng.normal(size=(side, side))))
+    spec = dct2_forward(rng.normal(size=(side, side)))
     mask = draw_mask(side, ratio, seed)
     meas = measure(spec, mask)
     again = measure(zero_filled(meas), mask)

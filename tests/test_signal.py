@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cstv.signal import (
-    ImageMatrix,
     Signal1D,
     SignalFormatError,
     flatten_to_signal,
@@ -23,26 +22,26 @@ signals = arrays(np.float64, st.integers(1, 200), elements=finite_floats).map(Si
 
 def test_reshape_even_square():
     img = reshape_to_image(Signal1D([1, 2, 3, 4]))
-    assert img.side == 2
-    assert img.values.tolist() == [[1, 3], [2, 4]]
+    assert img.shape[0] == 2
+    assert img.tolist() == [[1, 3], [2, 4]]
 
 
 def test_reshape_single_sample():
     img = reshape_to_image(Signal1D([5]))
-    assert img.side == 1
-    assert img.values.tolist() == [[5]]
+    assert img.shape[0] == 1
+    assert img.tolist() == [[5]]
 
 
 def test_reshape_with_padding():
     img = reshape_to_image(Signal1D([1, 2, 3, 4, 5]))
-    assert img.side == 3
-    assert img.values.tolist() == [[1, 4, 0], [2, 5, 0], [3, 0, 0]]
+    assert img.shape[0] == 3
+    assert img.tolist() == [[1, 4, 0], [2, 5, 0], [3, 0, 0]]
 
 
 def test_flatten_examples():
-    assert flatten_to_signal(ImageMatrix([[1, 3], [2, 4]]), 4).samples.tolist() == [1, 2, 3, 4]
-    assert flatten_to_signal(ImageMatrix([[1, 4, 0], [2, 5, 0], [3, 0, 0]]), 5).samples.tolist() == [1, 2, 3, 4, 5]
-    assert flatten_to_signal(ImageMatrix([[7]]), 1).samples.tolist() == [7]
+    assert flatten_to_signal(np.array([[1, 3], [2, 4]]), 4).samples.tolist() == [1, 2, 3, 4]
+    assert flatten_to_signal(np.array([[1, 4, 0], [2, 5, 0], [3, 0, 0]]), 5).samples.tolist() == [1, 2, 3, 4, 5]
+    assert flatten_to_signal(np.array([[7]]), 1).samples.tolist() == [7]
 
 
 def test_mean_examples():
@@ -66,14 +65,13 @@ def test_nan_signal_rejected():
 def test_flatten_length_must_fit():
     for n in (5, 0, -1):
         with pytest.raises(ValueError):
-            flatten_to_signal(ImageMatrix([[1, 2], [3, 4]]), n)
+            flatten_to_signal(np.array([[1, 2], [3, 4]]), n)
 
 
 def test_equality_is_identity_and_hash_works():
-    for make in (lambda: Signal1D([1.0, 2.0]), lambda: ImageMatrix([[1.0, 2.0], [3.0, 4.0]])):
-        a, b = make(), make()
-        assert a == a and a != b
-        assert hash(a) == hash(a)
+    a, b = Signal1D([1.0, 2.0]), Signal1D([1.0, 2.0])
+    assert a == a and a != b
+    assert hash(a) == hash(a)
 
 
 def test_signal_is_immutable():
@@ -93,13 +91,13 @@ def test_roundtrip_is_bit_exact(s):
 @given(signals)
 def test_padding_positions_are_zero(s):
     img = reshape_to_image(s)
-    flat = img.values.reshape(-1, order="F")
+    flat = img.reshape(-1, order="F")
     assert np.all(flat[len(s):] == 0.0)
 
 
 @given(st.integers(1, 5000))
 def test_side_is_minimal(n):
-    side = reshape_to_image(Signal1D(np.ones(n))).side
+    side = reshape_to_image(Signal1D(np.ones(n))).shape[0]
     assert side * side >= n
     assert (side - 1) * (side - 1) < n
 

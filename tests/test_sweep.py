@@ -186,6 +186,16 @@ def test_overflowing_norms_fail_the_solve_and_the_row():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_samples_near_float_max_fail_their_rows_and_the_sweep_completes():
+    # the mean overflows to inf, so the centred samples are not finite
+    signal = Signal1D([1e308, 1.5e308, 1e308, 1.2e308])
+    report = run_sweep(SweepSpec(signal=signal, ratios=(0.5, 1.0), seeds=(1, 2)))
+    assert len(report.rows) == 4
+    assert all(np.isnan(r.mse) and not r.converged and r.iters_used == 1 for r in report.rows)
+    assert all(np.isnan(m) for _, m in report.median_mse)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_failed_rows_write_a_strict_json_sidecar(tmp_path):
     signal = Signal1D(gen_ecg_like(256, bpm=60, fs=64, seed=0).samples * 1e200)
     spec = SweepSpec(signal=signal, ratios=(0.5,), seeds=(1,))
@@ -276,7 +286,7 @@ def test_one_kept_coefficient_recovers_a_feasible_signal():
     recovered, result = recover_signal(sig, 1e-6, seed=4)
     assert result.constraint_residual <= 1e-12
     assert np.isfinite(mse(sig, recovered))
-    assert result.final_tv < tv(result.start.values)
+    assert result.final_tv < tv(result.start)
 
 
 def test_ecg_recovery_beats_its_zero_filled_start_from_ratio_045():
