@@ -69,7 +69,7 @@ def _build_parser() -> _Parser:
     rec.add_argument("--in", dest="infile", required=True)
     rec.add_argument("--ratio", required=True, type=float)
     rec.add_argument("--seed", required=True, type=int)
-    rec.add_argument("--solver", default=None, help="solver config file (JSON or key=value lines)")
+    rec.add_argument("--solver", default=None, help="solver config file (key = value lines)")
     rec.add_argument("--out", required=True)
     rec.add_argument("--dump-images", default=None, metavar="DIR",
                      help="write original/reconstructed PGM images and a bounds sidecar")
@@ -128,8 +128,8 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
         out_dir = Path(args.dump_images)
         out_dir.mkdir(parents=True, exist_ok=True)
         bounds = {}
-        for name, values in (("original", reshape_to_image(signal)), ("reconstructed", result.image)):
-            lo, hi = write_pgm(values, out_dir / f"{name}.pgm")
+        for name, samples in (("original", signal), ("reconstructed", recovered)):
+            lo, hi = write_pgm(reshape_to_image(samples), out_dir / f"{name}.pgm")
             bounds[name] = {"min": lo, "max": hi}
         (out_dir / "bounds.json").write_text(json.dumps(bounds, indent=2) + "\n")
     err = mse(signal, recovered)

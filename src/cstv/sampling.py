@@ -7,8 +7,7 @@ a fixed seed, the mask at a higher ratio is a superset of the mask at a
 lower ratio.
 
 The dense measurement matrix is never formed; measuring is just gathering
-spectrum entries at the kept ranks' positions, and the constraint
-projection overwrites those positions with the measured values.
+spectrum entries at the kept ranks' positions.
 """
 
 from __future__ import annotations
@@ -43,19 +42,15 @@ class MeasurementMask:
             raise ValueError("kept_ranks must hold between 1 and side^2 ranks")
         if np.any((ranks < 0) | (ranks >= n)):
             raise ValueError("ranks out of range")
-        if np.unique(ranks).size != ranks.size:
-            raise ValueError("ranks must be distinct")
         ranks = np.sort(ranks)
+        if np.any(ranks[1:] == ranks[:-1]):
+            raise ValueError("ranks must be distinct")
         ranks.setflags(write=False)
         object.__setattr__(self, "kept_ranks", ranks)
         order = zigzag_order(self.side)
         for name, positions in (("rows", order.rows[ranks]), ("cols", order.cols[ranks])):
             positions.setflags(write=False)
             object.__setattr__(self, name, positions)
-
-    @property
-    def count(self) -> int:
-        return self.kept_ranks.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +65,7 @@ class MeasurementSet:
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != (self.mask.count,):
+        if vals.shape != self.mask.kept_ranks.shape:
             raise ValueError("values length must match the mask")
         if not np.all(np.isfinite(vals)):
             raise ValueError("measured values must be finite")
@@ -92,7 +87,8 @@ def draw_mask(side: int, ratio: float, seed: int) -> MeasurementMask:
     n = side * side
     m = min(max(int(round(ratio * n)), 1), n)
     rng = np.random.default_rng(seed)
-    ranks = np.arange(n, dtype=np.int64)
+    # swapping Python ints is faster than swapping numpy scalars
+    ranks = list(range(n))
     for i, offset in enumerate(rng.integers(np.arange(n, n - m, -1)).tolist()):
         j = i + offset
         ranks[i], ranks[j] = ranks[j], ranks[i]
@@ -105,15 +101,3 @@ def measure(coeffs: Array, mask: MeasurementMask) -> MeasurementSet:
         raise ValueError(f"shape mismatch: spectrum {coeffs.shape}, mask side {mask.side}")
     return MeasurementSet(mask=mask, values=coeffs[mask.rows, mask.cols])
 
-
-def project_constraint(coeffs: Array, meas: MeasurementSet) -> None:
-    """Overwrite the measured positions of a spectrum array in place.
-
-    Idempotent.  With the orthonormal DCT this is the exact Euclidean
-    projection onto the spectra that match the measurements; on a zero
-    array it gives the zero-filled spectrum.
-    """
-    side = meas.mask.side
-    if coeffs.shape != (side, side):
-        raise ValueError(f"shape mismatch: spectrum {coeffs.shape}, mask side {side}")
-    coeffs[meas.mask.rows, meas.mask.cols] = meas.values

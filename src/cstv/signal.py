@@ -70,25 +70,15 @@ def flatten_to_signal(image: Array, n: int) -> Signal1D:
     return Signal1D(image.reshape(-1, order="F")[:n])
 
 
-def mean_value(signal: Signal1D) -> float:
-    """Arithmetic mean over the original samples (padding never counts)."""
-    return float(np.mean(signal.samples))
-
-
 def load_signal_csv(path: str | Path) -> Signal1D:
-    """Read a signal from plain text: one value per line, or one
-    comma-separated row.  NaN and infinity tokens are rejected.
+    """Read a signal from plain text, one value per line; blank lines are
+    skipped.  NaN and infinity tokens are rejected.
     """
-    text = Path(path).read_text()
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in map(str.strip, Path(path).read_text().splitlines()) if ln]
     if not lines:
         raise SignalFormatError(f"{path}: no samples found")
-    if len(lines) == 1 and "," in lines[0]:
-        tokens = [t.strip() for t in lines[0].split(",") if t.strip()]
-    else:
-        tokens = lines
     try:
-        values = np.array([float(t) for t in tokens])
+        values = np.array([float(t) for t in lines])
     except ValueError as exc:
         raise SignalFormatError(f"{path}: {exc}") from exc
     if not np.all(np.isfinite(values)):

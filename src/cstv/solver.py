@@ -33,14 +33,13 @@ check, and the norms are BLAS dot products over whole buffers.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .sampling import MeasurementSet, project_constraint
+from .sampling import MeasurementSet
 from .transform import _dct2, _idct2
 
 Array = np.ndarray
@@ -83,7 +82,6 @@ class ReconstructionResult:
     image: Array
     iters_used: int
     final_tv: float
-    constraint_residual: float
     converged: bool
     start: Array
     """The zero-filled start: measured coefficients, zeros elsewhere."""
@@ -148,9 +146,9 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None) -> Rec
     of the stopping test is not finite.
     """
     config = config or SolverConfig()
-    side = meas.mask.side
+    side, rows, cols = meas.mask.side, meas.mask.rows, meas.mask.cols
     pinned = np.zeros((side, side))
-    project_constraint(pinned, meas)
+    pinned[rows, cols] = meas.values
     start = _idct2(pinned)
     start_tv = tv(start)
     if not math.isfinite(start_tv):
@@ -159,7 +157,7 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None) -> Rec
     # 1 / lambda_kl on the free coefficients; 0 at DC, where lambda is 0
     weight = np.add.outer(a, a)
     np.divide(1.0, weight, out=weight, where=weight > 0.0)
-    weight[meas.mask.rows, meas.mask.cols] = 0.0
+    weight[rows, cols] = 0.0
     # a start without variation is optimal, and one without a free
     # coefficient cannot move: it is returned as it is, and no iteration runs
     converged = start_tv == 0.0 or not weight.any()
@@ -217,34 +215,24 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None) -> Rec
             break
 
     np.multiply(x, scale, out=x)
-    final_spec = _dct2(x)
-    residual = float(np.max(np.abs(final_spec[meas.mask.rows, meas.mask.cols] - meas.values)))
-    return ReconstructionResult(image=x, iters_used=iters_used, final_tv=tv(x), constraint_residual=residual,
-                                converged=converged, start=start, residuals=tuple(residuals))
+    return ReconstructionResult(image=x, iters_used=iters_used, final_tv=tv(x), converged=converged,
+                                start=start, residuals=tuple(residuals))
 
 
 def load_solver_config(path: str | Path) -> SolverConfig:
-    """Read a config from JSON or from ``key = value`` lines.
+    """Read a config from ``key = value`` lines; ``#`` starts a comment.
 
     The recognized keys are the fields of :class:`SolverConfig`.
     """
-    text = Path(path).read_text()
     entries: dict[str, str] = {}
-    try:
-        obj = json.loads(text)
-        if not isinstance(obj, dict):
-            raise ValueError(f"{path}: config JSON must be an object")
-        entries = {str(k): str(v) for k, v in obj.items()}
-    except json.JSONDecodeError:
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            sep = "=" if "=" in line else (":" if ":" in line else None)
-            if sep is None:
-                raise ValueError(f"{path}: cannot parse config line {raw!r}")
-            key, value = line.split(sep, 1)
-            entries[key.strip()] = value.strip()
+    for raw in Path(path).read_text().splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ValueError(f"{path}: cannot parse config line {raw!r}")
+        entries[key.strip()] = value.strip()
     # every field has a default (SolverConfig() is the default config), and
     # the default's type is the field's type
     casts = {f.name: type(f.default) for f in fields(SolverConfig)}

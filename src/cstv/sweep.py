@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .sampling import draw_mask, measure
-from .signal import Signal1D, flatten_to_signal, mean_value, reshape_to_image
+from .signal import Signal1D, flatten_to_signal, reshape_to_image
 from .solver import ReconstructionResult, SolverConfig, SolverFailure, reconstruct
 from .transform import dct2_forward
 
@@ -32,6 +31,7 @@ def mse(a: Signal1D, b: Signal1D) -> float:
     return float(np.mean(diff * diff))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def recover_signal(
     signal: Signal1D,
     ratio: float,
@@ -39,8 +39,10 @@ def recover_signal(
     config: SolverConfig | None = None,
 ) -> tuple[Signal1D, ReconstructionResult]:
     """Run the full reshape / sample / solve / flatten pipeline once; centred
-    samples that overflow (near the float maximum) fail at iteration 1."""
-    mean = mean_value(signal)
+    samples that overflow (near the float maximum) fail at iteration 1.
+    Overflow raises no warning: the finiteness checks report it as a
+    :class:`SolverFailure`."""
+    mean = np.mean(signal.samples)
     centred = signal.samples - mean
     if not np.all(np.isfinite(centred)):
         raise SolverFailure(1)
@@ -106,7 +108,7 @@ def _run_row(args: tuple[Signal1D, float, int, SolverConfig]) -> SweepRow:
     start = time.perf_counter()
     try:
         recovered, result = recover_signal(signal, ratio, seed, config)
-        start_samples = flatten_to_signal(result.start, len(signal)).samples + mean_value(signal)
+        start_samples = flatten_to_signal(result.start, len(signal)).samples + np.mean(signal.samples)
         row = dict(mse=mse(signal, recovered), iters_used=result.iters_used, converged=result.converged,
                    start_mse=mse(signal, Signal1D(start_samples)), final_tv=result.final_tv)
     except SolverFailure as failure:
@@ -131,6 +133,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepReport:
     # than there are jobs
     pool_size = min(workers, len(jobs))
     if pool_size > 1:
+        # imported here: loading it costs every other command start-up time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             rows = list(pool.map(_run_row, jobs))
     else:
@@ -159,8 +164,8 @@ def _nan_to_null(value: float) -> float | None:
 
 def write_report_sidecar(report: SweepReport, spec: SweepSpec, path: str | Path) -> None:
     """Provenance sidecar: spec, solver config, version, medians (also of
-    the zero-filled starts), per-row start MSE and timings.  A failed row's
-    NaN is written as null, so the file is strict JSON."""
+    the zero-filled starts), per-row start MSE and final TV, and timings.
+    A failed row's NaN is written as null, so the file is strict JSON."""
     payload = {
         "version": __version__,
         "source": spec.source,
@@ -171,6 +176,7 @@ def write_report_sidecar(report: SweepReport, spec: SweepSpec, path: str | Path)
         "median_mse": {repr(ratio): _nan_to_null(med) for ratio, med in report.median_mse},
         "median_start_mse": {repr(ratio): _nan_to_null(med) for ratio, med in report.median_start_mse},
         "start_mse_rows": [_nan_to_null(r.start_mse) for r in report.rows],
+        "final_tv_rows": [_nan_to_null(r.final_tv) for r in report.rows],
         "wall_time_total": sum(r.wall_time for r in report.rows),
         "wall_time_rows": [r.wall_time for r in report.rows],
     }

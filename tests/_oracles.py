@@ -5,7 +5,8 @@ oracle is a direct quadruple loop over the transform definition, the TV
 oracle evaluates the per-pixel difference formula with explicit Python
 loops, the mask oracle draws one swap target per call, and the solver
 oracle is the over-relaxed split-Bregman loop written with a fresh array
-for every intermediate.
+for every intermediate.  The two feasibility helpers at the end are not
+oracles: they measure a result through the package's own transform.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ import math
 
 import numpy as np
 
+from cstv.sampling import draw_mask, measure
+from cstv.signal import Signal1D, reshape_to_image
 from cstv.solver import MU, RELAX, ReconstructionResult, SolverConfig, SolverFailure
-from cstv.transform import _dct_basis, _dct_basis_t
+from cstv.transform import _dct2, _dct_basis, _dct_basis_t
 
 
 def naive_dct2(x: np.ndarray) -> np.ndarray:
@@ -148,14 +151,24 @@ def admm_reference(meas, config: SolverConfig) -> ReconstructionResult:
                 break
         x = x * scale
 
-    final_spec = c @ x @ ct
-    residual = float(np.max(np.abs(final_spec[rows, cols] - meas.values)))
     return ReconstructionResult(
         image=x,
         iters_used=iters_used,
         final_tv=naive_tv(x),
-        constraint_residual=residual,
         converged=converged,
         start=start,
         residuals=tuple(residuals),
     )
+
+
+def constraint_gap(image: np.ndarray, meas) -> float:
+    """Largest deviation of the image's DCT from the measured values, over
+    the kept positions."""
+    return float(np.max(np.abs(_dct2(image)[meas.mask.rows, meas.mask.cols] - meas.values)))
+
+
+def pipeline_measurements(signal: Signal1D, ratio: float, seed: int):
+    """The measurement set ``recover_signal`` solves for: the centred
+    signal's image, measured at the mask drawn for (ratio, seed)."""
+    image = reshape_to_image(Signal1D(signal.samples - np.mean(signal.samples)))
+    return measure(_dct2(image), draw_mask(image.shape[0], ratio, seed))

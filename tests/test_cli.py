@@ -64,7 +64,10 @@ def test_reconstruct_dump_images_and_residual_log(tmp_path, capsys):
         assert len(data) == len(b"P5\n16 16\n255\n") + 256
     bounds = json.loads((imgdir / "bounds.json").read_text())
     assert set(bounds) == {"original", "reconstructed"}
-    assert bounds["original"]["min"] <= bounds["original"]["max"]
+    # at a perfect-square length the images hold exactly the signals' samples
+    for name, path in (("original", src), ("reconstructed", out)):
+        samples = load_signal_csv(path).samples
+        assert bounds[name] == {"min": samples.min(), "max": samples.max()}
 
     summary = dict(field.split("=") for field in capsys.readouterr().out.split())
     lines = log.read_text().splitlines()
@@ -76,7 +79,7 @@ def test_reconstruct_dump_images_and_residual_log(tmp_path, capsys):
     assert (primal <= tol * primal_scale and dual <= tol * dual_scale) == (summary["converged"] == "True")
 
 
-def test_reconstruct_with_solver_config(tmp_path):
+def test_reconstruct_with_solver_config(tmp_path, capsys):
     src = tmp_path / "in.csv"
     cfg = tmp_path / "solver.txt"
     out = tmp_path / "out.csv"
@@ -85,6 +88,14 @@ def test_reconstruct_with_solver_config(tmp_path):
     cfg.write_text("max_iters = 20\n")
     assert run_cli("reconstruct", "--in", str(src), "--ratio", "0.4", "--seed", "0",
                    "--solver", str(cfg), "--out", str(out)) == EXIT_OK
+    # key = value lines are the one config syntax
+    out.unlink()
+    for text in ('{"max_iters": 20}\n', "tol: 1e-7\n"):
+        cfg.write_text(text)
+        assert run_cli("reconstruct", "--in", str(src), "--ratio", "0.4", "--seed", "0",
+                       "--solver", str(cfg), "--out", str(out)) == EXIT_USAGE
+        assert "cannot parse config line" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_sweep_writes_csv_and_sidecar(tmp_path):
@@ -113,12 +124,9 @@ def test_every_solver_field_round_trips_through_config_files_and_sidecar(tmp_pat
         else:
             pytest.fail(f"no non-default value rule for field {f.name}: {f.default!r}")
         assert values[f.name] != f.default
-    as_json = tmp_path / "solver.json"
-    as_json.write_text(json.dumps(values))
     as_lines = tmp_path / "solver.cfg"
     as_lines.write_text("".join(f"{key} = {value!r}\n" for key, value in values.items()))
-    for path in (as_json, as_lines):
-        assert dataclasses.asdict(load_solver_config(path)) == values
+    assert dataclasses.asdict(load_solver_config(as_lines)) == values
 
     out = tmp_path / "report.csv"
     assert run_cli("sweep", "--kind", "ecg", "--n", "64", "--fs", "64", "--bpm", "60",
@@ -182,9 +190,11 @@ def test_io_error_exit_code(tmp_path):
 
 def test_malformed_signal_file_is_io_error(tmp_path):
     bad = tmp_path / "bad.csv"
-    bad.write_text("1.0\nnot-a-number\n")
-    assert run_cli("reconstruct", "--in", str(bad), "--ratio", "0.5", "--seed", "1",
-                   "--out", str(tmp_path / "o.csv")) == EXIT_IO
+    # one comma-separated row is not a signal file: one value goes on each line
+    for text in ("1.0\nnot-a-number\n", "1.0,2.0,3.0,4.0\n"):
+        bad.write_text(text)
+        assert run_cli("reconstruct", "--in", str(bad), "--ratio", "0.5", "--seed", "1",
+                       "--out", str(tmp_path / "o.csv")) == EXIT_IO
 
 
 def test_solver_failure_exit_code(tmp_path, monkeypatch):
@@ -200,7 +210,6 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch):
                    "--out", str(tmp_path / "o.csv")) == EXIT_SOLVER
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_failed_solve_writes_its_residual_log(tmp_path, monkeypatch):
     src, out, log = tmp_path / "in.csv", tmp_path / "o.csv", tmp_path / "residuals.csv"
     run_cli("gen", "--kind", "ecg", "--n", "256", "--fs", "64", "--bpm", "60",
@@ -214,24 +223,36 @@ def test_failed_solve_writes_its_residual_log(tmp_path, monkeypatch):
     assert row.startswith("1,") and row.endswith(",inf,inf")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_overflowing_solve_exits_with_solver_failure(tmp_path):
+# the exit code and this message report an overflow, and numpy prints no warning
+FAILURE_MESSAGE = "cstv: solver failure: solver diverged at iteration 1\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_solve_exits_with_solver_failure(tmp_path, capsys):
     src = tmp_path / "huge.csv"
     save_signal_csv(Signal1D(gen_ecg_like(1000, bpm=60, fs=250, seed=0).samples * 1e200), src)
     out = tmp_path / "o.csv"
     assert run_cli("reconstruct", "--in", str(src), "--ratio", "0.5", "--seed", "1",
                    "--out", str(out)) == EXIT_SOLVER
     assert not out.exists()
+    assert capsys.readouterr().err == FAILURE_MESSAGE
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_samples_near_float_max_exit_with_solver_failure(tmp_path):
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_samples_near_float_max_exit_with_solver_failure(tmp_path, capsys):
     # the mean overflows to inf, so the centred samples are not finite
     src, out = tmp_path / "near_max.csv", tmp_path / "o.csv"
     src.write_text("1e308\n1.5e308\n1e308\n1.2e308\n")
     assert run_cli("reconstruct", "--in", str(src), "--ratio", "0.5", "--seed", "1",
                    "--out", str(out)) == EXIT_SOLVER
     assert not out.exists()
+    assert capsys.readouterr().err == FAILURE_MESSAGE
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only a parallel sweep needs it, and loading it slows every start-up
+    code = "import sys, cstv.cli; sys.exit('concurrent.futures.process' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_write_pgm_flat_image(tmp_path):

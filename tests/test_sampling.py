@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import scalar_draw_ranks
-from cstv.sampling import MeasurementMask, MeasurementSet, draw_mask, measure, project_constraint
+from cstv.sampling import MeasurementMask, MeasurementSet, draw_mask, measure
 from cstv.transform import dct2_forward, zigzag_order
 
 
 def zero_filled(meas):
     """The measured coefficients scattered into an otherwise zero spectrum."""
     coeffs = np.zeros((meas.mask.side, meas.mask.side))
-    project_constraint(coeffs, meas)
+    coeffs[meas.mask.rows, meas.mask.cols] = meas.values
     return coeffs
 
 
@@ -46,7 +46,7 @@ def test_bad_side_rejected():
 
 
 def test_tiny_ratio_clamps_to_one_rank():
-    assert draw_mask(4, 1e-9, seed=3).count == 1
+    assert draw_mask(4, 1e-9, seed=3).kept_ranks.size == 1
 
 
 @pytest.mark.parametrize("side", [1, 2, 3, 32, 64, 256])
@@ -127,6 +127,8 @@ def test_measure_embed_measure_roundtrip(side, ratio, seed):
 def test_mask_rejects_duplicates_and_out_of_range():
     with pytest.raises(ValueError):
         MeasurementMask(side=2, kept_ranks=np.array([1, 1]))
+    with pytest.raises(ValueError, match="distinct"):
+        MeasurementMask(side=3, kept_ranks=np.array([5, 0, 2, 5]))
     with pytest.raises(ValueError):
         MeasurementMask(side=2, kept_ranks=np.array([4]))
 
@@ -134,8 +136,8 @@ def test_mask_rejects_duplicates_and_out_of_range():
 def test_equality_is_identity_and_hash_works():
     a, b = draw_mask(4, 0.5, 1), draw_mask(4, 0.5, 1)
     assert a == a and a != b
-    meas = MeasurementSet(mask=a, values=np.zeros(a.count))
-    assert meas == meas and meas != MeasurementSet(mask=a, values=np.zeros(a.count))
+    meas = MeasurementSet(mask=a, values=np.zeros(a.kept_ranks.size))
+    assert meas == meas and meas != MeasurementSet(mask=a, values=np.zeros(a.kept_ranks.size))
     for obj in (a, meas, zigzag_order(4)):
         assert hash(obj) == hash(obj)
 

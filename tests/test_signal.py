@@ -11,7 +11,6 @@ from cstv.signal import (
     SignalFormatError,
     flatten_to_signal,
     load_signal_csv,
-    mean_value,
     reshape_to_image,
     save_signal_csv,
 )
@@ -42,12 +41,6 @@ def test_flatten_examples():
     assert flatten_to_signal(np.array([[1, 3], [2, 4]]), 4).samples.tolist() == [1, 2, 3, 4]
     assert flatten_to_signal(np.array([[1, 4, 0], [2, 5, 0], [3, 0, 0]]), 5).samples.tolist() == [1, 2, 3, 4, 5]
     assert flatten_to_signal(np.array([[7]]), 1).samples.tolist() == [7]
-
-
-def test_mean_examples():
-    assert mean_value(Signal1D([1, 2, 3])) == 2
-    assert mean_value(Signal1D([-5, 5])) == 0
-    assert mean_value(Signal1D([0, 0, 0, 0])) == 0
 
 
 def test_empty_signal_rejected():
@@ -104,15 +97,17 @@ def test_side_is_minimal(n):
 
 def test_csv_one_value_per_line(tmp_path):
     p = tmp_path / "s.csv"
-    p.write_text("1.5\n-2.25\n3.0\n")
+    p.write_text("1.5\n\n  -2.25 \n3.0\n")
     s = load_signal_csv(p)
     assert s.samples.tolist() == [1.5, -2.25, 3.0]
 
 
 def test_csv_single_comma_row(tmp_path):
+    # one value per line is the one layout
     p = tmp_path / "s.csv"
     p.write_text("1.5, -2.25, 3.0\n")
-    assert load_signal_csv(p).samples.tolist() == [1.5, -2.25, 3.0]
+    with pytest.raises(SignalFormatError, match="could not convert"):
+        load_signal_csv(p)
 
 
 @pytest.mark.parametrize("body", ["nan\n1.0\n", "1.0\ninf\n", "1.0\n-inf\n"])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import cstv.sweep as sweep_mod
+from _oracles import constraint_gap, pipeline_measurements
 from cstv.generators import gen_ecg_like
 from cstv.signal import Signal1D
 from cstv.solver import SolverConfig, SolverFailure, tv
@@ -44,7 +45,7 @@ def test_recover_full_ratio_is_exact():
     sig = gen_ecg_like(1000, bpm=60, fs=250, seed=0)  # padded case, side 32
     recovered, result = recover_signal(sig, 1.0, seed=5, config=SolverConfig(max_iters=3))
     assert mse(sig, recovered) <= 1e-10
-    assert result.constraint_residual <= 1e-8
+    assert constraint_gap(result.image, pipeline_measurements(sig, 1.0, 5)) <= 1e-8
 
 
 def test_recover_zero_signal_is_zero():
@@ -113,7 +114,8 @@ class RecordingPool:
 @pytest.mark.parametrize("workers,pool_sizes", [(1, []), (2, [2]), (64, [4])])
 def test_sweep_pool_is_capped_at_the_job_count(monkeypatch, workers, pool_sizes):
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", RecordingPool)
+    # run_sweep imports the pool class when it needs one, so it is patched at its source
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     report = run_sweep(small_spec(), workers=workers)  # 2 ratios x 2 seeds = 4 jobs
     assert RecordingPool.sizes == pool_sizes
     assert len(report.rows) == 4
@@ -171,7 +173,6 @@ def test_failed_rows_marked_nan_and_sweep_continues(tmp_path, monkeypatch):
     assert all(np.isnan(m) for _, m in report.median_mse)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_norms_fail_the_solve_and_the_row():
     # at this amplitude every sample and iterate is finite, but the image
     # norms in the stopping test overflow to inf
@@ -185,7 +186,6 @@ def test_overflowing_norms_fail_the_solve_and_the_row():
     assert np.isnan(row.mse) and not row.converged and row.iters_used == 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_samples_near_float_max_fail_their_rows_and_the_sweep_completes():
     # the mean overflows to inf, so the centred samples are not finite
     signal = Signal1D([1e308, 1.5e308, 1e308, 1.2e308])
@@ -195,19 +195,26 @@ def test_samples_near_float_max_fail_their_rows_and_the_sweep_completes():
     assert all(np.isnan(m) for _, m in report.median_mse)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_failed_rows_write_a_strict_json_sidecar(tmp_path):
-    signal = Signal1D(gen_ecg_like(256, bpm=60, fs=64, seed=0).samples * 1e200)
-    spec = SweepSpec(signal=signal, ratios=(0.5,), seeds=(1,))
-    path = tmp_path / "failed.json"
-    write_report_sidecar(run_sweep(spec), spec, path)
-
     def reject(token):
         raise ValueError(f"non-JSON token {token}")
 
-    sidecar = json.loads(path.read_text(), parse_constant=reject)
+    def sidecar_of(samples, seeds):
+        spec = SweepSpec(signal=Signal1D(samples), ratios=(0.5,), seeds=seeds)
+        report = run_sweep(spec)
+        write_report_sidecar(report, spec, tmp_path / "report.json")
+        return report, json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+
+    samples = gen_ecg_like(256, bpm=60, fs=64, seed=0).samples
+    _, sidecar = sidecar_of(samples * 1e200, (1,))
     assert sidecar["median_mse"] == sidecar["median_start_mse"] == {"0.5": None}
-    assert sidecar["start_mse_rows"] == [None]
+    assert sidecar["start_mse_rows"] == sidecar["final_tv_rows"] == [None]
+
+    # rows that succeed write their final TV, aligned with their start MSE
+    report, sidecar = sidecar_of(samples, (1, 2))
+    assert sidecar["start_mse_rows"] == [r.start_mse for r in report.rows]
+    assert sidecar["final_tv_rows"] == [r.final_tv for r in report.rows]
+    assert all(value > 0.0 for value in sidecar["final_tv_rows"])
 
 
 def test_median_aggregation_ignores_failed_rows(monkeypatch):
@@ -267,7 +274,7 @@ def test_one_to_three_samples_recover(n, ratio):
     sig = Signal1D([2.5, -1.0, 4.0][:n])
     recovered, result = recover_signal(sig, ratio, seed=3)
     assert len(recovered) == n and np.all(np.isfinite(recovered.samples))
-    assert result.converged and result.constraint_residual <= 1e-12
+    assert result.converged and constraint_gap(result.image, pipeline_measurements(sig, ratio, 3)) <= 1e-12
     if ratio == 1.0 or n == 1:
         assert mse(sig, recovered) <= 1e-20
 
@@ -284,7 +291,7 @@ def test_one_kept_coefficient_recovers_a_feasible_signal():
     # minimum is a piecewise-constant image that ADMM approaches slowly
     sig = gen_ecg_like(256, bpm=60, fs=64, seed=0)
     recovered, result = recover_signal(sig, 1e-6, seed=4)
-    assert result.constraint_residual <= 1e-12
+    assert constraint_gap(result.image, pipeline_measurements(sig, 1e-6, 4)) <= 1e-12
     assert np.isfinite(mse(sig, recovered))
     assert result.final_tv < tv(result.start)
 

@@ -32,7 +32,7 @@ SOLVER = SolverConfig(max_iters=1200, tol=1e-12)
 def test_median_mse_trend_is_monotone(label, signal):
     spec = SweepSpec(signal=signal, ratios=RATIO_GRID, seeds=tuple(range(9)),
                      solver=SOLVER, source=label)
-    report = run_sweep(spec)
+    report = run_sweep(spec, workers=2)
     medians = dict(report.median_mse)
     curve = [medians[r] for r in RATIO_GRID]
     if label == "pressure":
