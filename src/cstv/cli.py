@@ -23,12 +23,7 @@ EXIT_USAGE = 1
 EXIT_SOLVER = 2
 EXIT_IO = 3
 
-# signal kind -> (generator, name of its beats or breaths per minute argument)
-GENERATORS = {
-    "ecg": (gen_ecg_like, "bpm"),
-    "pressure": (gen_pressure_like, "beats_per_min"),
-    "respiration": (gen_respiration_like, "breaths_per_min"),
-}
+GENERATORS = {"ecg": gen_ecg_like, "pressure": gen_pressure_like, "respiration": gen_respiration_like}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,17 +32,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def write_pgm(values: np.ndarray, path: str | Path) -> tuple[float, float]:
-    """8-bit binary PGM, min-max normalized; returns the bounds used."""
-    lo = float(np.min(values))
-    hi = float(np.max(values))
+def write_pgm(samples: np.ndarray, path: str | Path) -> tuple[float, float]:
+    """The samples' square image as an 8-bit binary PGM, min-max normalized
+    over the samples, with the zero padding black; returns the bounds used."""
+    lo = float(np.min(samples))
+    hi = float(np.max(samples))
     if hi > lo:
-        scaled = np.round((values - lo) / (hi - lo) * 255.0)
+        scaled = np.round((samples - lo) / (hi - lo) * 255.0)
     else:
-        scaled = np.zeros_like(values)
-    data = scaled.astype(np.uint8)
+        scaled = np.zeros_like(samples)
+    data = reshape_to_image(scaled).astype(np.uint8)
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{values.shape[1]} {values.shape[0]}\n255\n".encode("ascii"))
+        fh.write(f"P5\n{data.shape[1]} {data.shape[0]}\n255\n".encode("ascii"))
         fh.write(data.tobytes())
     return lo, hi
 
@@ -80,10 +76,11 @@ def _build_parser() -> _Parser:
     src = swp.add_mutually_exclusive_group(required=True)
     src.add_argument("--in", dest="infile")
     src.add_argument("--kind", choices=tuple(GENERATORS))
-    swp.add_argument("--n", type=int, default=4096)
+    # the generator's flags; --n defaults to 4096 and --gen-seed to 0
+    swp.add_argument("--n", type=int, default=None)
     swp.add_argument("--fs", type=float, default=None)
     swp.add_argument("--bpm", type=float, default=None)
-    swp.add_argument("--gen-seed", type=int, default=0)
+    swp.add_argument("--gen-seed", type=int, default=None)
     swp.add_argument("--ratios", required=True, help="comma-separated, e.g. 0.3,0.5,0.9")
     swp.add_argument("--seeds", required=True, help="comma-separated mask seeds")
     swp.add_argument("--solver", default=None)
@@ -93,11 +90,8 @@ def _build_parser() -> _Parser:
 
 
 def _generate(kind: str, n: int, fs: float | None, bpm: float | None, seed: int) -> Signal1D:
-    generator, rate_arg = GENERATORS[kind]
-    kwargs = {} if fs is None else {"fs": fs}
-    if bpm is not None:
-        kwargs[rate_arg] = bpm
-    return generator(n, seed=seed, **kwargs)
+    kwargs = {name: value for name, value in (("fs", fs), ("bpm", bpm)) if value is not None}
+    return GENERATORS[kind](n, seed=seed, **kwargs)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -128,8 +122,8 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
         out_dir = Path(args.dump_images)
         out_dir.mkdir(parents=True, exist_ok=True)
         bounds = {}
-        for name, samples in (("original", signal), ("reconstructed", recovered)):
-            lo, hi = write_pgm(reshape_to_image(samples), out_dir / f"{name}.pgm")
+        for name, samples in (("original", signal.samples), ("reconstructed", recovered.samples)):
+            lo, hi = write_pgm(samples, out_dir / f"{name}.pgm")
             bounds[name] = {"min": lo, "max": hi}
         (out_dir / "bounds.json").write_text(json.dumps(bounds, indent=2) + "\n")
     err = mse(signal, recovered)
@@ -147,11 +141,17 @@ def _parse_list(text: str, cast) -> tuple:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = load_solver_config(args.solver) if args.solver else SolverConfig()
     if args.infile:
+        given = [flag for flag, value in (("--n", args.n), ("--fs", args.fs), ("--bpm", args.bpm),
+                                          ("--gen-seed", args.gen_seed)) if value is not None]
+        if given:
+            raise ValueError(f"{', '.join(given)} only apply to a generated signal (--kind), not to --in")
         signal = load_signal_csv(args.infile)
         source = f"file:{args.infile}"
     else:
-        signal = _generate(args.kind, args.n, args.fs, args.bpm, args.gen_seed)
-        source = f"gen:{args.kind}(n={args.n},fs={args.fs},bpm={args.bpm},seed={args.gen_seed})"
+        n = 4096 if args.n is None else args.n
+        seed = 0 if args.gen_seed is None else args.gen_seed
+        signal = _generate(args.kind, n, args.fs, args.bpm, seed)
+        source = f"gen:{args.kind}(n={n},fs={args.fs},bpm={args.bpm},seed={seed})"
     spec = SweepSpec(
         signal=signal,
         ratios=_parse_list(args.ratios, float),

@@ -20,6 +20,8 @@ ECG_COMPONENTS: tuple[tuple[float, float, float], ...] = (
     (-0.20, 0.03, 0.008),
     (0.20, 0.18, 0.035),
 )
+# Amplitude of the seeded sinusoidal baseline wander under the beats.
+ECG_WANDER = 0.02
 
 # Pressure pulse: two in-beat harmonics (amplitude, harmonic, phase) under
 # an exponential decay, riding on a constant offset.  The decay confines
@@ -33,11 +35,13 @@ RESPIRATION_PHASE = 0.55
 RESPIRATION_MOD_DEPTH = 0.15
 
 
-def _check_common(n: int, fs: float) -> None:
+def _check_common(n: int, fs: float, bpm: float) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
     if not fs > 0.0:
         raise ValueError("fs must be > 0")
+    if not bpm > 0.0:
+        raise ValueError("bpm must be > 0")
 
 
 def gen_ecg_like(
@@ -46,7 +50,6 @@ def gen_ecg_like(
     fs: float = 360.0,
     seed: int = 0,
     amplitude: float = 1.0,
-    wander: float = 0.02,
 ) -> Signal1D:
     """Periodic P-QRS-T waveform as a sum of Gaussian bumps per beat.
 
@@ -54,11 +57,7 @@ def gen_ecg_like(
     baseline wander (random frequency in 0.15..0.35 Hz, random phase) is
     added; ``amplitude`` scales the whole signal.
     """
-    _check_common(n, fs)
-    if not bpm > 0.0:
-        raise ValueError("bpm must be > 0")
-    if wander < 0.0:
-        raise ValueError("wander must be >= 0")
+    _check_common(n, fs, bpm)
     rng = np.random.default_rng(seed)
     t = np.arange(n, dtype=np.float64) / fs
     period = 60.0 / bpm
@@ -70,7 +69,7 @@ def gen_ecg_like(
             x += amp * np.exp(-0.5 * ((t - t_r - off * period) / (width * period)) ** 2)
     phase = rng.uniform(0.0, 2.0 * np.pi)
     f_w = rng.uniform(0.15, 0.35)
-    x += wander * np.sin(2.0 * np.pi * f_w * t + phase)
+    x += ECG_WANDER * np.sin(2.0 * np.pi * f_w * t + phase)
     return Signal1D(amplitude * x)
 
 
@@ -78,8 +77,7 @@ def gen_pressure_like(
     n: int,
     fs: float = 125.0,
     seed: int = 0,
-    beats_per_min: float = 72.0,
-    amplitude: float = 1.0,
+    bpm: float = 72.0,
 ) -> Signal1D:
     """Arterial-pressure-like pulse train.
 
@@ -87,12 +85,10 @@ def gen_pressure_like(
     decay, which yields the sawtooth rise and a dicrotic-notch-like dip;
     a slow seeded modulation varies the pulse height by a few percent.
     """
-    _check_common(n, fs)
-    if not beats_per_min > 0.0:
-        raise ValueError("beats_per_min must be > 0")
+    _check_common(n, fs, bpm)
     rng = np.random.default_rng(seed)
     t = np.arange(n, dtype=np.float64) / fs
-    period = 60.0 / beats_per_min
+    period = 60.0 / bpm
     phase_in_beat = (t / period) % 1.0
     pulse = np.zeros(n, dtype=np.float64)
     for amp, harmonic, ph in PRESSURE_HARMONICS:
@@ -101,29 +97,27 @@ def gen_pressure_like(
     f_mod = rng.uniform(0.02, 0.06)
     mod_phase = rng.uniform(0.0, 2.0 * np.pi)
     modulation = 1.0 + 0.05 * np.sin(2.0 * np.pi * f_mod * t + mod_phase)
-    return Signal1D(amplitude * (PRESSURE_OFFSET + PRESSURE_PULSE_SCALE * modulation * pulse))
+    return Signal1D(PRESSURE_OFFSET + PRESSURE_PULSE_SCALE * modulation * pulse)
 
 
 def gen_respiration_like(
     n: int,
     fs: float = 25.0,
     seed: int = 0,
-    breaths_per_min: float = 12.0,
-    amplitude: float = 1.0,
+    bpm: float = 12.0,
 ) -> Signal1D:
-    """Slow breathing sinusoid with seeded amplitude modulation.
+    """Slow breathing sinusoid at ``bpm`` breaths per minute, with seeded
+    amplitude modulation.
 
     Amplitude modulation keeps the carrier's zero crossings in place, so
     crossing counts follow directly from the breathing rate.
     """
-    _check_common(n, fs)
-    if not breaths_per_min > 0.0:
-        raise ValueError("breaths_per_min must be > 0")
+    _check_common(n, fs, bpm)
     rng = np.random.default_rng(seed)
     t = np.arange(n, dtype=np.float64) / fs
-    f = breaths_per_min / 60.0
+    f = bpm / 60.0
     f_mod = rng.uniform(0.01, 0.03)
     mod_phase = rng.uniform(0.0, 2.0 * np.pi)
     modulation = 1.0 + RESPIRATION_MOD_DEPTH * np.sin(2.0 * np.pi * f_mod * t + mod_phase)
     carrier = np.sin(2.0 * np.pi * f * t + RESPIRATION_PHASE)
-    return Signal1D(amplitude * modulation * carrier)
+    return Signal1D(modulation * carrier)

@@ -67,8 +67,6 @@ class MeasurementSet:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.shape != self.mask.kept_ranks.shape:
             raise ValueError("values length must match the mask")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("measured values must be finite")
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)

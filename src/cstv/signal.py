@@ -1,9 +1,11 @@
 """1D signals, their square-image embedding, and the conversions between them.
 
-A length-N0 signal is zero-padded up to the smallest perfect square and
-filled into a side x side float64 array column by column.  Images are plain
-arrays, as spectra are: the image does not record N0, and the inverse
-conversion takes it from the caller, who holds the signal (``len(signal)``).
+:class:`Signal1D` checks a signal's samples once, where it enters or leaves
+the program (a file, a generator, the recovery's argument and result).
+Between those points samples, images and spectra are plain float64 arrays.
+A length-N0 array is zero-padded up to the smallest perfect square and filled
+into a side x side array column by column; the image does not record N0, and
+the inverse conversion takes it from the caller.
 """
 
 from __future__ import annotations
@@ -50,40 +52,35 @@ class Signal1D:
         return (Signal1D, (self.samples,))
 
 
-def reshape_to_image(signal: Signal1D) -> Array:
-    """Embed a signal into the smallest square matrix, column by column.
+def reshape_to_image(samples: Array) -> Array:
+    """Embed 1D samples into the smallest square matrix, column by column.
 
-    The side is ceil(sqrt(N0)); positions past the signal end are zero.
+    The side is ceil(sqrt(N0)); positions past the last sample are zero.
     """
-    n = len(signal)
+    n = len(samples)
     side = int(np.ceil(np.sqrt(n)))
     padded = np.zeros(side * side, dtype=np.float64)
-    padded[:n] = signal.samples
+    padded[:n] = samples
     return padded.reshape((side, side), order="F")
 
 
-def flatten_to_signal(image: Array, n: int) -> Signal1D:
-    """Inverse of :func:`reshape_to_image` for a length-``n`` signal: read
+def flatten_to_signal(image: Array, n: int) -> Array:
+    """Inverse of :func:`reshape_to_image` for ``n`` samples: read
     column-major and keep the first ``n`` entries."""
     if not 1 <= n <= image.size:
         raise ValueError(f"length {n} out of range for side {image.shape[0]}")
-    return Signal1D(image.reshape(-1, order="F")[:n])
+    return image.reshape(-1, order="F")[:n]
 
 
 def load_signal_csv(path: str | Path) -> Signal1D:
     """Read a signal from plain text, one value per line; blank lines are
-    skipped.  NaN and infinity tokens are rejected.
+    skipped.  :class:`Signal1D` rejects an empty file and NaN or infinity.
     """
     lines = [ln for ln in map(str.strip, Path(path).read_text().splitlines()) if ln]
-    if not lines:
-        raise SignalFormatError(f"{path}: no samples found")
     try:
-        values = np.array([float(t) for t in lines])
+        return Signal1D([float(t) for t in lines])
     except ValueError as exc:
         raise SignalFormatError(f"{path}: {exc}") from exc
-    if not np.all(np.isfinite(values)):
-        raise SignalFormatError(f"{path}: NaN/Inf samples are not allowed")
-    return Signal1D(values)
 
 
 def save_signal_csv(signal: Signal1D, path: str | Path) -> None:

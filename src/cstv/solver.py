@@ -52,9 +52,8 @@ RELAX = 1.4
 
 
 class SolverFailure(RuntimeError):
-    """A non-finite value appeared in the centred signal, the start's TV or a
-    stopping norm; ``residuals`` holds the stopping-test rows up to it, the
-    non-finite one last."""
+    """The start's TV or a stopping norm is not finite; ``residuals`` holds
+    the stopping-test rows up to it, the non-finite one last."""
 
     def __init__(self, iteration: int, residuals: tuple[tuple[float, float, float, float], ...] = ()):
         self.iteration, self.residuals = iteration, residuals

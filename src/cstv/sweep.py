@@ -38,20 +38,16 @@ def recover_signal(
     seed: int,
     config: SolverConfig | None = None,
 ) -> tuple[Signal1D, ReconstructionResult]:
-    """Run the full reshape / sample / solve / flatten pipeline once; centred
-    samples that overflow (near the float maximum) fail at iteration 1.
-    Overflow raises no warning: the finiteness checks report it as a
-    :class:`SolverFailure`."""
+    """Run the full reshape / sample / solve / flatten pipeline once.  Samples
+    near the float maximum whose mean, centring or kept DCT coefficients
+    overflow make the start's TV non-finite, so the solve fails at iteration
+    1; the overflow raises no warning, the :class:`SolverFailure` reports it."""
     mean = np.mean(signal.samples)
-    centred = signal.samples - mean
-    if not np.all(np.isfinite(centred)):
-        raise SolverFailure(1)
-    image = reshape_to_image(Signal1D(centred))
+    image = reshape_to_image(signal.samples - mean)
     mask = draw_mask(image.shape[0], ratio, seed)
     meas = measure(dct2_forward(image), mask)
     result = reconstruct(meas, config)
-    recovered = flatten_to_signal(result.image, len(signal))
-    return Signal1D(recovered.samples + mean), result
+    return Signal1D(flatten_to_signal(result.image, len(signal)) + mean), result
 
 
 @dataclass(frozen=True)
@@ -108,9 +104,9 @@ def _run_row(args: tuple[Signal1D, float, int, SolverConfig]) -> SweepRow:
     start = time.perf_counter()
     try:
         recovered, result = recover_signal(signal, ratio, seed, config)
-        start_samples = flatten_to_signal(result.start, len(signal)).samples + np.mean(signal.samples)
+        start_signal = Signal1D(flatten_to_signal(result.start, len(signal)) + np.mean(signal.samples))
         row = dict(mse=mse(signal, recovered), iters_used=result.iters_used, converged=result.converged,
-                   start_mse=mse(signal, Signal1D(start_samples)), final_tv=result.final_tv)
+                   start_mse=mse(signal, start_signal), final_tv=result.final_tv)
     except SolverFailure as failure:
         row = dict(mse=float("nan"), iters_used=failure.iteration, converged=False)
     return SweepRow(ratio=ratio, seed=seed, wall_time=time.perf_counter() - start, **row)

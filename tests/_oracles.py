@@ -170,5 +170,5 @@ def constraint_gap(image: np.ndarray, meas) -> float:
 def pipeline_measurements(signal: Signal1D, ratio: float, seed: int):
     """The measurement set ``recover_signal`` solves for: the centred
     signal's image, measured at the mask drawn for (ratio, seed)."""
-    image = reshape_to_image(Signal1D(signal.samples - np.mean(signal.samples)))
+    image = reshape_to_image(signal.samples - np.mean(signal.samples))
     return measure(_dct2(image), draw_mask(image.shape[0], ratio, seed))

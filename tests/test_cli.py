@@ -48,35 +48,42 @@ def test_reconstruct_full_ratio_roundtrip(tmp_path):
 
 
 def test_reconstruct_dump_images_and_residual_log(tmp_path, capsys):
-    src = tmp_path / "in.csv"
-    out = tmp_path / "out.csv"
-    imgdir = tmp_path / "imgs"
-    log = tmp_path / "residuals.csv"
-    run_cli("gen", "--kind", "ecg", "--n", "256", "--fs", "64", "--bpm", "60",
-            "--seed", "2", "--out", str(src))
-    assert run_cli("reconstruct", "--in", str(src), "--ratio", "0.5", "--seed", "1",
-                   "--out", str(out), "--dump-images", str(imgdir),
-                   "--residual-log", str(log)) == EXIT_OK
+    # n=256 fills a 16 x 16 image; n=1000 leaves 24 padding pixels of a 32 x 32
+    # image, and its pressure samples lie far above the padding's zero
+    for n, side, gen_args in ((256, 16, ("--kind", "ecg", "--fs", "64", "--bpm", "60", "--seed", "2")),
+                              (1000, 32, ("--kind", "pressure", "--fs", "125", "--seed", "0"))):
+        src = tmp_path / f"in{n}.csv"
+        out = tmp_path / f"out{n}.csv"
+        imgdir = tmp_path / f"imgs{n}"
+        log = tmp_path / f"residuals{n}.csv"
+        run_cli("gen", *gen_args, "--n", str(n), "--out", str(src))
+        assert run_cli("reconstruct", "--in", str(src), "--ratio", "0.5", "--seed", "1",
+                       "--out", str(out), "--dump-images", str(imgdir),
+                       "--residual-log", str(log)) == EXIT_OK
 
-    for name in ("original.pgm", "reconstructed.pgm"):
-        data = (imgdir / name).read_bytes()
-        assert data.startswith(b"P5\n16 16\n255\n")
-        assert len(data) == len(b"P5\n16 16\n255\n") + 256
-    bounds = json.loads((imgdir / "bounds.json").read_text())
-    assert set(bounds) == {"original", "reconstructed"}
-    # at a perfect-square length the images hold exactly the signals' samples
-    for name, path in (("original", src), ("reconstructed", out)):
-        samples = load_signal_csv(path).samples
-        assert bounds[name] == {"min": samples.min(), "max": samples.max()}
+        header = f"P5\n{side} {side}\n255\n".encode("ascii")
+        for name in ("original.pgm", "reconstructed.pgm"):
+            data = (imgdir / name).read_bytes()
+            assert data.startswith(header)
+            assert len(data) == len(header) + side * side
+            # the padding is black
+            pixels = np.frombuffer(data[len(header):], dtype=np.uint8).reshape(side, side)
+            assert np.all(pixels.reshape(-1, order="F")[n:] == 0)
+        bounds = json.loads((imgdir / "bounds.json").read_text())
+        assert set(bounds) == {"original", "reconstructed"}
+        # the images are normalized over the signals' samples, not the padding
+        for name, path in (("original", src), ("reconstructed", out)):
+            samples = load_signal_csv(path).samples
+            assert bounds[name] == {"min": samples.min(), "max": samples.max()}
 
-    summary = dict(field.split("=") for field in capsys.readouterr().out.split())
-    lines = log.read_text().splitlines()
-    assert lines[0] == "iteration,primal,primal_scale,dual,dual_scale"
-    assert len(lines) == int(summary["iters"]) + 1
-    # the last row of a converged solve passes the default stopping test
-    primal, primal_scale, dual, dual_scale = map(float, lines[-1].split(",")[1:])
-    tol = SolverConfig().tol
-    assert (primal <= tol * primal_scale and dual <= tol * dual_scale) == (summary["converged"] == "True")
+        summary = dict(field.split("=") for field in capsys.readouterr().out.split())
+        lines = log.read_text().splitlines()
+        assert lines[0] == "iteration,primal,primal_scale,dual,dual_scale"
+        assert len(lines) == int(summary["iters"]) + 1
+        # the last row of a converged solve passes the default stopping test
+        primal, primal_scale, dual, dual_scale = map(float, lines[-1].split(",")[1:])
+        tol = SolverConfig().tol
+        assert (primal <= tol * primal_scale and dual <= tol * dual_scale) == (summary["converged"] == "True")
 
 
 def test_reconstruct_with_solver_config(tmp_path, capsys):
@@ -151,6 +158,19 @@ def test_sweep_parallel_serial_identical_bytes(tmp_path):
     assert run_cli(*args, "--out", str(a)) == EXIT_OK
     assert run_cli(*args, "--workers", "2", "--out", str(b)) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("flags", [("--n", "16"), ("--fs", "3"), ("--bpm", "60"), ("--gen-seed", "0"),
+                                   ("--n", "16", "--fs", "3", "--bpm", "60", "--gen-seed", "0")])
+def test_sweep_from_file_rejects_generator_flags(tmp_path, capsys, flags):
+    src, out = tmp_path / "sig.csv", tmp_path / "rep.csv"
+    save_signal_csv(Signal1D(np.arange(25.0)), src)
+    assert run_cli("sweep", "--in", str(src), *flags, "--ratios", "1.0", "--seeds", "3",
+                   "--out", str(out)) == EXIT_USAGE
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("cstv: invalid arguments: ")
+    assert all(flag in err for flag in flags[::2])
 
 
 def test_sweep_from_file(tmp_path):
@@ -239,10 +259,15 @@ def test_overflowing_solve_exits_with_solver_failure(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_samples_near_float_max_exit_with_solver_failure(tmp_path, capsys):
+@pytest.mark.parametrize("text", [
     # the mean overflows to inf, so the centred samples are not finite
+    pytest.param("1e308\n1.5e308\n1e308\n1.2e308\n", id="mean-overflows"),
+    # the mean is 0 and the samples are finite, but their DCT overflows
+    pytest.param("1.7e308\n-1.7e308\n1.7e308\n-1.7e308\n", id="spectrum-overflows"),
+])
+def test_samples_near_float_max_exit_with_solver_failure(tmp_path, capsys, text):
     src, out = tmp_path / "near_max.csv", tmp_path / "o.csv"
-    src.write_text("1e308\n1.5e308\n1e308\n1.2e308\n")
+    src.write_text(text)
     assert run_cli("reconstruct", "--in", str(src), "--ratio", "0.5", "--seed", "1",
                    "--out", str(out)) == EXIT_SOLVER
     assert not out.exists()
@@ -257,7 +282,7 @@ def test_import_leaves_the_process_pool_unloaded():
 
 def test_write_pgm_flat_image(tmp_path):
     p = tmp_path / "flat.pgm"
-    lo, hi = write_pgm(np.full((4, 4), 7.0), p)
+    lo, hi = write_pgm(np.full(16, 7.0), p)
     assert lo == hi == 7.0
     data = p.read_bytes()
     assert data.endswith(b"\x00" * 16)

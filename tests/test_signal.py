@@ -20,27 +20,27 @@ signals = arrays(np.float64, st.integers(1, 200), elements=finite_floats).map(Si
 
 
 def test_reshape_even_square():
-    img = reshape_to_image(Signal1D([1, 2, 3, 4]))
+    img = reshape_to_image(np.array([1, 2, 3, 4]))
     assert img.shape[0] == 2
     assert img.tolist() == [[1, 3], [2, 4]]
 
 
 def test_reshape_single_sample():
-    img = reshape_to_image(Signal1D([5]))
+    img = reshape_to_image(np.array([5]))
     assert img.shape[0] == 1
     assert img.tolist() == [[5]]
 
 
 def test_reshape_with_padding():
-    img = reshape_to_image(Signal1D([1, 2, 3, 4, 5]))
+    img = reshape_to_image(np.array([1, 2, 3, 4, 5]))
     assert img.shape[0] == 3
     assert img.tolist() == [[1, 4, 0], [2, 5, 0], [3, 0, 0]]
 
 
 def test_flatten_examples():
-    assert flatten_to_signal(np.array([[1, 3], [2, 4]]), 4).samples.tolist() == [1, 2, 3, 4]
-    assert flatten_to_signal(np.array([[1, 4, 0], [2, 5, 0], [3, 0, 0]]), 5).samples.tolist() == [1, 2, 3, 4, 5]
-    assert flatten_to_signal(np.array([[7]]), 1).samples.tolist() == [7]
+    assert flatten_to_signal(np.array([[1, 3], [2, 4]]), 4).tolist() == [1, 2, 3, 4]
+    assert flatten_to_signal(np.array([[1, 4, 0], [2, 5, 0], [3, 0, 0]]), 5).tolist() == [1, 2, 3, 4, 5]
+    assert flatten_to_signal(np.array([[7]]), 1).tolist() == [7]
 
 
 def test_empty_signal_rejected():
@@ -76,21 +76,21 @@ def test_signal_is_immutable():
 
 @given(signals)
 def test_roundtrip_is_bit_exact(s):
-    back = flatten_to_signal(reshape_to_image(s), len(s))
+    back = flatten_to_signal(reshape_to_image(s.samples), len(s))
     assert len(back) == len(s)
-    assert np.array_equal(back.samples, s.samples)
+    assert np.array_equal(back, s.samples)
 
 
 @given(signals)
 def test_padding_positions_are_zero(s):
-    img = reshape_to_image(s)
+    img = reshape_to_image(s.samples)
     flat = img.reshape(-1, order="F")
     assert np.all(flat[len(s):] == 0.0)
 
 
 @given(st.integers(1, 5000))
 def test_side_is_minimal(n):
-    side = reshape_to_image(Signal1D(np.ones(n))).shape[0]
+    side = reshape_to_image(np.ones(n)).shape[0]
     assert side * side >= n
     assert (side - 1) * (side - 1) < n
 

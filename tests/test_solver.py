@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from _oracles import _divergence, admm_reference, constraint_gap, naive_tv
 from cstv.generators import gen_ecg_like
-from cstv.sampling import draw_mask, measure
-from cstv.signal import Signal1D, reshape_to_image
+from cstv.sampling import MeasurementSet, draw_mask, measure
+from cstv.signal import reshape_to_image
 from cstv.solver import (
     SolverConfig,
     SolverFailure,
@@ -254,6 +254,18 @@ def test_tv_trend_is_non_increasing_within_band():
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_measured_value_fails_at_iteration_1(bad):
+    # the solver, not the measurement set, reports a non-finite value
+    meas = measure(dct2_forward(two_block_phantom()), draw_mask(16, 0.3, seed=0))
+    values = meas.values.copy()
+    values[3] = bad
+    with pytest.raises(SolverFailure) as excinfo:
+        reconstruct(MeasurementSet(mask=meas.mask, values=values), SolverConfig(max_iters=10))
+    assert excinfo.value.iteration == 1
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_solver_failure_carries_iteration(monkeypatch):
     img = two_block_phantom()
     meas = measure(dct2_forward(img), draw_mask(16, 0.3, seed=0))
@@ -276,7 +288,7 @@ def test_solver_failure_carries_the_residual_rows(monkeypatch):
 def ecg_measurements(ratio, seed, scale=1.0):
     """A centred n=1000 ECG embedded at side 32, measured at (ratio, seed)."""
     samples = gen_ecg_like(1000, bpm=60, fs=250, seed=3).samples * scale
-    img = reshape_to_image(Signal1D(samples - np.mean(samples)))
+    img = reshape_to_image(samples - np.mean(samples))
     return measure(dct2_forward(img), draw_mask(img.shape[0], ratio, seed))
 
 

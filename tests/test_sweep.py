@@ -186,9 +186,14 @@ def test_overflowing_norms_fail_the_solve_and_the_row():
     assert np.isnan(row.mse) and not row.converged and row.iters_used == 1
 
 
-def test_samples_near_float_max_fail_their_rows_and_the_sweep_completes():
+@pytest.mark.parametrize("samples", [
     # the mean overflows to inf, so the centred samples are not finite
-    signal = Signal1D([1e308, 1.5e308, 1e308, 1.2e308])
+    pytest.param([1e308, 1.5e308, 1e308, 1.2e308], id="mean-overflows"),
+    # the mean is 0 and the samples are finite, but their DCT overflows
+    pytest.param([1.7e308, -1.7e308, 1.7e308, -1.7e308], id="spectrum-overflows"),
+])
+def test_samples_near_float_max_fail_their_rows_and_the_sweep_completes(samples):
+    signal = Signal1D(samples)
     report = run_sweep(SweepSpec(signal=signal, ratios=(0.5, 1.0), seeds=(1, 2)))
     assert len(report.rows) == 4
     assert all(np.isnan(r.mse) and not r.converged and r.iters_used == 1 for r in report.rows)
