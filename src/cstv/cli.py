@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .generators import gen_ecg_like, gen_pressure_like, gen_respiration_like
-from .signal import Signal1D, SignalFormatError, load_signal_csv, reshape_to_image, save_signal_csv
+from .signal import SignalFormatError, load_signal_csv, reshape_to_image, save_signal_csv
 from .solver import SolverConfig, SolverFailure, load_solver_config
 from .sweep import SweepSpec, mse, recover_signal, run_sweep, write_report_csv, write_report_sidecar
 
@@ -73,14 +73,7 @@ def _build_parser() -> _Parser:
                      help="write each iteration's stopping-test residuals as CSV")
 
     swp = sub.add_parser("sweep", help="MSE versus sampling ratio over seeds")
-    src = swp.add_mutually_exclusive_group(required=True)
-    src.add_argument("--in", dest="infile")
-    src.add_argument("--kind", choices=tuple(GENERATORS))
-    # the generator's flags; --n defaults to 4096 and --gen-seed to 0
-    swp.add_argument("--n", type=int, default=None)
-    swp.add_argument("--fs", type=float, default=None)
-    swp.add_argument("--bpm", type=float, default=None)
-    swp.add_argument("--gen-seed", type=int, default=None)
+    swp.add_argument("--in", dest="infile", required=True)
     swp.add_argument("--ratios", required=True, help="comma-separated, e.g. 0.3,0.5,0.9")
     swp.add_argument("--seeds", required=True, help="comma-separated mask seeds")
     swp.add_argument("--solver", default=None)
@@ -89,13 +82,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _generate(kind: str, n: int, fs: float | None, bpm: float | None, seed: int) -> Signal1D:
-    kwargs = {name: value for name, value in (("fs", fs), ("bpm", bpm)) if value is not None}
-    return GENERATORS[kind](n, seed=seed, **kwargs)
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
-    signal = _generate(args.kind, args.n, args.fs, args.bpm, args.seed)
+    kwargs = {} if args.bpm is None else {"bpm": args.bpm}
+    signal = GENERATORS[args.kind](args.n, fs=args.fs, seed=args.seed, **kwargs)
     save_signal_csv(signal, args.out)
     return EXIT_OK
 
@@ -139,30 +128,24 @@ def _parse_list(text: str, cast) -> tuple:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    # checked before any row is solved, which a late failure would waste
+    out = Path(args.out)
+    sidecar = out.with_suffix(".json")
+    if sidecar == out:
+        raise ValueError(f"--out {out} is the path of its own JSON sidecar")
+    if not out.parent.is_dir():
+        raise FileNotFoundError(f"{out.parent}: no such directory")
     config = load_solver_config(args.solver) if args.solver else SolverConfig()
-    if args.infile:
-        given = [flag for flag, value in (("--n", args.n), ("--fs", args.fs), ("--bpm", args.bpm),
-                                          ("--gen-seed", args.gen_seed)) if value is not None]
-        if given:
-            raise ValueError(f"{', '.join(given)} only apply to a generated signal (--kind), not to --in")
-        signal = load_signal_csv(args.infile)
-        source = f"file:{args.infile}"
-    else:
-        n = 4096 if args.n is None else args.n
-        seed = 0 if args.gen_seed is None else args.gen_seed
-        signal = _generate(args.kind, n, args.fs, args.bpm, seed)
-        source = f"gen:{args.kind}(n={n},fs={args.fs},bpm={args.bpm},seed={seed})"
     spec = SweepSpec(
-        signal=signal,
+        signal=load_signal_csv(args.infile),
         ratios=_parse_list(args.ratios, float),
         seeds=_parse_list(args.seeds, int),
         solver=config,
-        source=source,
+        source=f"file:{args.infile}",
     )
     report = run_sweep(spec, workers=args.workers)
-    out = Path(args.out)
     write_report_csv(report, out)
-    write_report_sidecar(report, spec, out.with_suffix(".json"))
+    write_report_sidecar(report, spec, sidecar)
     for ratio, median in report.median_mse:
         print(f"ratio={ratio:.2f} median_mse={median!r}")
     return EXIT_OK

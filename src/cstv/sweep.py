@@ -20,7 +20,7 @@ from . import __version__
 from .sampling import draw_mask, measure
 from .signal import Signal1D, flatten_to_signal, reshape_to_image
 from .solver import ReconstructionResult, SolverConfig, SolverFailure, reconstruct
-from .transform import dct2_forward
+from .transform import _dct2
 
 
 def mse(a: Signal1D, b: Signal1D) -> float:
@@ -45,7 +45,7 @@ def recover_signal(
     mean = np.mean(signal.samples)
     image = reshape_to_image(signal.samples - mean)
     mask = draw_mask(image.shape[0], ratio, seed)
-    meas = measure(dct2_forward(image), mask)
+    meas = measure(_dct2(image), mask)
     result = reconstruct(meas, config)
     return Signal1D(flatten_to_signal(result.image, len(signal)) + mean), result
 

@@ -73,8 +73,3 @@ def zigzag_order(side: int) -> ZigZagOrder:
     rows.setflags(write=False)
     cols.setflags(write=False)
     return ZigZagOrder(rows=rows, cols=cols)
-
-
-def dct2_forward(image: Array) -> Array:
-    """Separable orthonormal 2D DCT-II of the image, as a coefficient array."""
-    return _dct2(image)

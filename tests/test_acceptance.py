@@ -16,7 +16,7 @@ from cstv.generators import gen_ecg_like
 from cstv.sampling import draw_mask, measure
 from cstv.solver import SolverConfig, divergence, grad, reconstruct, tv
 from cstv.sweep import SweepSpec, mse, recover_signal, run_sweep, write_report_csv
-from cstv.transform import _idct2, dct2_forward
+from cstv.transform import _dct2, _idct2
 
 RATIO_GRID = tuple(round(0.30 + 0.05 * i, 2) for i in range(13))
 
@@ -34,7 +34,7 @@ def test_criterion_1_transform_correctness():
         if count >= 200:
             break
         img = _image(side, rng)
-        back = _idct2(dct2_forward(img))
+        back = _idct2(_dct2(img))
         worst_rt = max(worst_rt, float(np.max(np.abs(back - img))))
         count += 1
     assert worst_rt <= 1e-10
@@ -43,7 +43,7 @@ def test_criterion_1_transform_correctness():
     for side in (2, 3, 4, 8):
         for _ in range(5):
             img = _image(side, rng)
-            diff = dct2_forward(img) - naive_dct2(img)
+            diff = _dct2(img) - naive_dct2(img)
             worst_oracle = max(worst_oracle, float(np.max(np.abs(diff))))
     assert worst_oracle <= 1e-10
     print(f"\n[criterion 1] PASS transform round-trip max {worst_rt:.2e}, "
@@ -92,7 +92,7 @@ def test_criterion_5_exact_recovery_oracle():
     img = np.zeros((16, 16))
     img[3:5, 4:7] = 2.0
     img[10:12, 9:12] = -2.0
-    spectrum = dct2_forward(img)
+    spectrum = _dct2(img)
     config = SolverConfig(max_iters=500, tol=1e-12)
     variance = float(np.var(img))
     worst_rel, worst_time = 0.0, 0.0

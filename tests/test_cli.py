@@ -17,6 +17,12 @@ def run_cli(*args):
     return main(list(args))
 
 
+def gen_csv(path, *gen_args):
+    """Write a generated signal to path, as a sweep's ``--in`` reads it."""
+    assert run_cli("gen", *gen_args, "--out", str(path)) == EXIT_OK
+    return str(path)
+
+
 def test_gen_writes_loadable_deterministic_csv(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_cli("gen", "--kind", "ecg", "--n", "500", "--fs", "250", "--bpm", "60",
@@ -106,9 +112,10 @@ def test_reconstruct_with_solver_config(tmp_path, capsys):
 
 
 def test_sweep_writes_csv_and_sidecar(tmp_path):
+    src = gen_csv(tmp_path / "sig.csv", "--kind", "ecg", "--n", "256", "--fs", "64", "--bpm", "60",
+                  "--seed", "1")
     out = tmp_path / "report.csv"
-    assert run_cli("sweep", "--kind", "ecg", "--n", "256", "--fs", "64", "--bpm", "60",
-                   "--gen-seed", "1", "--ratios", "0.5,1.0", "--seeds", "1,2",
+    assert run_cli("sweep", "--in", src, "--ratios", "0.5,1.0", "--seeds", "1,2",
                    "--out", str(out)) == EXIT_OK
     lines = out.read_text().splitlines()
     assert lines[0] == "ratio,seed,mse,iters_used,converged"
@@ -135,9 +142,10 @@ def test_every_solver_field_round_trips_through_config_files_and_sidecar(tmp_pat
     as_lines.write_text("".join(f"{key} = {value!r}\n" for key, value in values.items()))
     assert dataclasses.asdict(load_solver_config(as_lines)) == values
 
+    src = gen_csv(tmp_path / "sig.csv", "--kind", "ecg", "--n", "64", "--fs", "64", "--bpm", "60",
+                  "--seed", "0")
     out = tmp_path / "report.csv"
-    assert run_cli("sweep", "--kind", "ecg", "--n", "64", "--fs", "64", "--bpm", "60",
-                   "--ratios", "1.0", "--seeds", "1", "--solver", str(as_lines),
+    assert run_cli("sweep", "--in", src, "--ratios", "1.0", "--seeds", "1", "--solver", str(as_lines),
                    "--out", str(out)) == EXIT_OK
     assert json.loads((tmp_path / "report.json").read_text())["solver"] == values
 
@@ -145,32 +153,47 @@ def test_every_solver_field_round_trips_through_config_files_and_sidecar(tmp_pat
 @pytest.mark.parametrize("ratios,seeds,workers", [("0.5,1.0", "1,2", "0"), ("0.5,1.0", "1,2", "-2"),
                                                   ("0.5,0.5", "1,2", "1"), ("0.5,1.0", "1,1", "1")])
 def test_sweep_bad_workers_or_repeated_values_are_usage_errors(tmp_path, ratios, seeds, workers):
+    src = gen_csv(tmp_path / "sig.csv", "--kind", "ecg", "--n", "64", "--fs", "64", "--seed", "0")
     out = tmp_path / "r.csv"
-    assert run_cli("sweep", "--kind", "ecg", "--n", "64", "--fs", "64", "--ratios", ratios,
+    assert run_cli("sweep", "--in", src, "--ratios", ratios,
                    "--seeds", seeds, "--workers", workers, "--out", str(out)) == EXIT_USAGE
     assert not out.exists()
 
 
 def test_sweep_parallel_serial_identical_bytes(tmp_path):
-    args = ["sweep", "--kind", "ecg", "--n", "256", "--fs", "64", "--bpm", "60",
-            "--gen-seed", "1", "--ratios", "0.5,1.0", "--seeds", "1,2"]
+    src = gen_csv(tmp_path / "sig.csv", "--kind", "ecg", "--n", "256", "--fs", "64", "--bpm", "60",
+                  "--seed", "1")
+    args = ["sweep", "--in", src, "--ratios", "0.5,1.0", "--seeds", "1,2"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_cli(*args, "--out", str(a)) == EXIT_OK
     assert run_cli(*args, "--workers", "2", "--out", str(b)) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
 
 
+# a sweep reads its signal from --in only: --kind and the generator's flags
+# belong to gen
 @pytest.mark.parametrize("flags", [("--n", "16"), ("--fs", "3"), ("--bpm", "60"), ("--gen-seed", "0"),
-                                   ("--n", "16", "--fs", "3", "--bpm", "60", "--gen-seed", "0")])
+                                   ("--kind", "ecg", "--n", "16", "--fs", "3", "--bpm", "60", "--gen-seed", "0"),
+                                   ("--kind", "ecg")])
 def test_sweep_from_file_rejects_generator_flags(tmp_path, capsys, flags):
     src, out = tmp_path / "sig.csv", tmp_path / "rep.csv"
     save_signal_csv(Signal1D(np.arange(25.0)), src)
     assert run_cli("sweep", "--in", str(src), *flags, "--ratios", "1.0", "--seeds", "3",
                    "--out", str(out)) == EXIT_USAGE
-    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sig.csv"]
     err = capsys.readouterr().err
-    assert err.startswith("cstv: invalid arguments: ")
+    assert "cstv: error: unrecognized arguments: " in err
     assert all(flag in err for flag in flags[::2])
+
+
+# the JSON sidecar would overwrite rep.json; nodir does not exist
+@pytest.mark.parametrize("out,code", [("rep.json", EXIT_USAGE), ("nodir/r.csv", EXIT_IO)])
+def test_sweep_checks_its_out_path_before_solving(tmp_path, monkeypatch, out, code):
+    src = gen_csv(tmp_path / "sig.csv", "--kind", "ecg", "--n", "64", "--fs", "64", "--seed", "0")
+    monkeypatch.setattr("cstv.cli.run_sweep", lambda *a, **k: pytest.fail("run_sweep was called"))
+    assert run_cli("sweep", "--in", src, "--ratios", "1.0", "--seeds", "1",
+                   "--out", str(tmp_path / out)) == code
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sig.csv"]
 
 
 def test_sweep_from_file(tmp_path):
@@ -210,11 +233,15 @@ def test_io_error_exit_code(tmp_path):
 
 def test_malformed_signal_file_is_io_error(tmp_path):
     bad = tmp_path / "bad.csv"
-    # one comma-separated row is not a signal file: one value goes on each line
-    for text in ("1.0\nnot-a-number\n", "1.0,2.0,3.0,4.0\n"):
-        bad.write_text(text)
+    # one comma-separated row is not a signal file: one value goes on each line;
+    # nor is a file that is not UTF-8 text
+    for data in (b"1.0\nnot-a-number\n", b"1.0,2.0,3.0,4.0\n", b"\xff1.0\n2.0\n"):
+        bad.write_bytes(data)
         assert run_cli("reconstruct", "--in", str(bad), "--ratio", "0.5", "--seed", "1",
                        "--out", str(tmp_path / "o.csv")) == EXIT_IO
+        assert run_cli("sweep", "--in", str(bad), "--ratios", "0.5", "--seeds", "1",
+                       "--out", str(tmp_path / "r.csv")) == EXIT_IO
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
 
 
 def test_solver_failure_exit_code(tmp_path, monkeypatch):

@@ -16,7 +16,7 @@ from cstv.solver import (
     reconstruct,
     tv,
 )
-from cstv.transform import dct2_forward
+from cstv.transform import _dct2
 
 
 def image(arr):
@@ -139,12 +139,12 @@ def test_tv_positive_homogeneity(c, side, seed):
 def test_start_is_the_zero_filled_spectrum():
     # the measured coefficients in place, zeros at every other position
     rng = np.random.default_rng(5)
-    meas = measure(dct2_forward(image(rng.normal(size=(6, 6)))), draw_mask(6, 0.4, seed=2))
+    meas = measure(_dct2(image(rng.normal(size=(6, 6)))), draw_mask(6, 0.4, seed=2))
     start = reconstruct(meas, SolverConfig(max_iters=1)).start
     free = np.ones((6, 6), dtype=bool)
     free[meas.mask.rows, meas.mask.cols] = False
     assert constraint_gap(start, meas) <= 1e-12
-    assert np.max(np.abs(dct2_forward(start)[free])) <= 1e-12
+    assert np.max(np.abs(_dct2(start)[free])) <= 1e-12
 
 
 def test_solver_config_validation():
@@ -191,7 +191,7 @@ def test_solver_config_file_rejects_removed_keys(tmp_path, lines, named):
 def test_full_sampling_reproduces_image():
     rng = np.random.default_rng(9)
     img = image(rng.normal(size=(8, 8)))
-    meas = measure(dct2_forward(img), draw_mask(8, 1.0, seed=0))
+    meas = measure(_dct2(img), draw_mask(8, 1.0, seed=0))
     result = reconstruct(meas, SolverConfig(max_iters=3))
     assert np.max(np.abs(result.image - img)) <= 1e-8
     assert constraint_gap(result.image, meas) <= 1e-8
@@ -199,7 +199,7 @@ def test_full_sampling_reproduces_image():
 
 def test_zero_measurements_give_zero_image():
     img = image(np.zeros((8, 8)))
-    meas = measure(dct2_forward(img), draw_mask(8, 0.4, seed=3))
+    meas = measure(_dct2(img), draw_mask(8, 0.4, seed=3))
     result = reconstruct(meas)
     assert np.all(result.image == 0.0)
     assert result.final_tv == 0.0
@@ -208,7 +208,7 @@ def test_zero_measurements_give_zero_image():
 
 def test_two_block_recovery_seed1():
     img = two_block_phantom()
-    meas = measure(dct2_forward(img), draw_mask(16, 0.3, seed=1))
+    meas = measure(_dct2(img), draw_mask(16, 0.3, seed=1))
     result = reconstruct(meas, PHANTOM_CONFIG)
     rel = np.mean((result.image - img) ** 2) / np.var(img)
     assert rel <= 1e-3
@@ -219,7 +219,7 @@ def test_feasibility_after_reconstruct():
     rng = np.random.default_rng(11)
     img = image(rng.normal(size=(12, 12)))
     for ratio, seed in [(0.2, 0), (0.5, 1), (0.9, 2)]:
-        meas = measure(dct2_forward(img), draw_mask(12, ratio, seed))
+        meas = measure(_dct2(img), draw_mask(12, ratio, seed))
         result = reconstruct(meas, SolverConfig(max_iters=50))
         assert constraint_gap(result.image, meas) <= 1e-8
 
@@ -227,7 +227,7 @@ def test_feasibility_after_reconstruct():
 def test_residuals_certify_the_stop():
     # at tol 1e-4 the solve converges; at 1e-12 it runs out its iterations
     img = two_block_phantom()
-    meas = measure(dct2_forward(img), draw_mask(16, 0.3, seed=1))
+    meas = measure(_dct2(img), draw_mask(16, 0.3, seed=1))
     stopped = []
     for tol in (1e-4, 1e-12):
         result = reconstruct(meas, SolverConfig(max_iters=120, tol=tol))
@@ -244,7 +244,7 @@ def test_tv_trend_is_non_increasing_within_band():
     # relative to the starting level, and require overall descent
     img = two_block_phantom()
     for seed in range(5):
-        meas = measure(dct2_forward(img), draw_mask(16, 0.3, seed))
+        meas = measure(_dct2(img), draw_mask(16, 0.3, seed))
         tvs = [reconstruct(meas, SolverConfig(max_iters=cap, tol=1e-12)).final_tv
                for cap in range(50, 501, 50)]
         band = 0.02 * tvs[0]
@@ -257,7 +257,7 @@ def test_tv_trend_is_non_increasing_within_band():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_measured_value_fails_at_iteration_1(bad):
     # the solver, not the measurement set, reports a non-finite value
-    meas = measure(dct2_forward(two_block_phantom()), draw_mask(16, 0.3, seed=0))
+    meas = measure(_dct2(two_block_phantom()), draw_mask(16, 0.3, seed=0))
     values = meas.values.copy()
     values[3] = bad
     with pytest.raises(SolverFailure) as excinfo:
@@ -268,7 +268,7 @@ def test_non_finite_measured_value_fails_at_iteration_1(bad):
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_solver_failure_carries_iteration(monkeypatch):
     img = two_block_phantom()
-    meas = measure(dct2_forward(img), draw_mask(16, 0.3, seed=0))
+    meas = measure(_dct2(img), draw_mask(16, 0.3, seed=0))
     monkeypatch.setattr("cstv.solver.divergence", lambda gx, gy, out=None: np.full_like(gx, np.inf))
     with pytest.raises(SolverFailure) as excinfo:
         reconstruct(meas, SolverConfig(max_iters=10))
@@ -277,7 +277,7 @@ def test_solver_failure_carries_iteration(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_solver_failure_carries_the_residual_rows(monkeypatch):
-    meas = measure(dct2_forward(two_block_phantom()), draw_mask(16, 0.3, seed=0))
+    meas = measure(_dct2(two_block_phantom()), draw_mask(16, 0.3, seed=0))
     monkeypatch.setattr("cstv.solver.divergence", lambda gx, gy, out=None: np.full_like(gx, np.inf))
     with pytest.raises(SolverFailure) as excinfo:
         reconstruct(meas, SolverConfig(max_iters=10))
@@ -289,11 +289,11 @@ def ecg_measurements(ratio, seed, scale=1.0):
     """A centred n=1000 ECG embedded at side 32, measured at (ratio, seed)."""
     samples = gen_ecg_like(1000, bpm=60, fs=250, seed=3).samples * scale
     img = reshape_to_image(samples - np.mean(samples))
-    return measure(dct2_forward(img), draw_mask(img.shape[0], ratio, seed))
+    return measure(_dct2(img), draw_mask(img.shape[0], ratio, seed))
 
 
 def phantom_measurements(ratio, seed):
-    return measure(dct2_forward(two_block_phantom()), draw_mask(16, ratio, seed))
+    return measure(_dct2(two_block_phantom()), draw_mask(16, ratio, seed))
 
 
 def assert_matches_reference(meas, config):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import naive_dct2, zigzag_by_hand
-from cstv.transform import _dct2, _idct2, dct2_forward, zigzag_order
+from cstv.transform import _dct2, _idct2, zigzag_order
 
 
 def random_image(side, seed):
@@ -15,7 +15,7 @@ def random_image(side, seed):
 def test_constant_image_is_dc_only():
     for side in (1, 2, 3, 5, 8):
         c = 2.5
-        spec = dct2_forward(np.full((side, side), c))
+        spec = _dct2(np.full((side, side), c))
         assert spec[0, 0] == pytest.approx(c * side, rel=1e-12)
         off = spec.copy()
         off[0, 0] = 0.0
@@ -23,13 +23,13 @@ def test_constant_image_is_dc_only():
 
 
 def test_zero_image_maps_to_zero_spectrum():
-    spec = dct2_forward(np.zeros((4, 4)))
+    spec = _dct2(np.zeros((4, 4)))
     assert np.all(spec == 0.0)
 
 
 def test_random_4x4_roundtrip_and_oracle():
     img = random_image(4, seed=42)
-    spec = dct2_forward(img)
+    spec = _dct2(img)
     assert np.max(np.abs(spec - naive_dct2(img))) < 1e-12
     back = _idct2(spec)
     assert np.max(np.abs(back - img)) < 1e-12
@@ -61,14 +61,14 @@ def test_zero_spectrum_inverts_to_zero_image():
 def test_roundtrip_error_bound(side):
     for seed in range(5):
         img = random_image(side, seed)
-        back = _idct2(dct2_forward(img))
+        back = _idct2(_dct2(img))
         assert np.max(np.abs(back - img)) <= 1e-10
 
 
 @pytest.mark.parametrize("side", [2, 3, 5, 8])
 def test_agreement_with_naive_oracle(side):
     img = random_image(side, seed=side)
-    spec = dct2_forward(img)
+    spec = _dct2(img)
     assert np.max(np.abs(spec - naive_dct2(img))) <= 1e-10
 
 
@@ -76,7 +76,7 @@ def test_agreement_with_scipy():
     from scipy.fft import dctn
 
     img = random_image(16, seed=3)
-    spec = dct2_forward(img)
+    spec = _dct2(img)
     assert np.max(np.abs(spec - dctn(img, norm="ortho"))) < 1e-10
 
 
@@ -86,8 +86,8 @@ def test_orthonormality_preserves_inner_products(side, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(side, side))
     b = rng.normal(size=(side, side))
-    fa = dct2_forward(a)
-    fb = dct2_forward(b)
+    fa = _dct2(a)
+    fb = _dct2(b)
     lhs = float(np.sum(fa * fb))
     rhs = float(np.sum(a * b))
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
@@ -98,7 +98,7 @@ def test_orthonormality_preserves_inner_products(side, seed):
 def test_parseval(side, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(side, side))
-    spec = dct2_forward(a)
+    spec = _dct2(a)
     assert float(np.sum(spec**2)) == pytest.approx(float(np.sum(a**2)), rel=1e-9)
 
 
