@@ -16,7 +16,7 @@ import numpy as np
 from .generators import gen_ecg_like, gen_pressure_like, gen_respiration_like
 from .signal import SignalFormatError, load_signal_csv, reshape_to_image, save_signal_csv
 from .solver import SolverConfig, SolverFailure, load_solver_config
-from .sweep import SweepSpec, mse, recover_signal, run_sweep, write_report_csv, write_report_sidecar
+from .sweep import SweepSpec, mse, ratio_medians, recover_signal, run_sweep, write_report_csv, write_report_sidecar
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -97,7 +97,15 @@ def _write_residual_log(path: str | None, residuals: tuple[tuple[float, ...], ..
                 fh.write(f"{iteration},{','.join(map(repr, norms))}\n")
 
 
+def _check_dirs(*paths: str | Path | None) -> None:
+    """Raise before anything is solved, which a late write failure would waste."""
+    for parent in (Path(p).parent for p in paths if p):
+        if not parent.is_dir():
+            raise FileNotFoundError(f"{parent}: no such directory")
+
+
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
+    _check_dirs(args.out, args.residual_log)
     config = load_solver_config(args.solver) if args.solver else SolverConfig()
     signal = load_signal_csv(args.infile)
     try:
@@ -128,13 +136,11 @@ def _parse_list(text: str, cast) -> tuple:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    # checked before any row is solved, which a late failure would waste
     out = Path(args.out)
     sidecar = out.with_suffix(".json")
     if sidecar == out:
         raise ValueError(f"--out {out} is the path of its own JSON sidecar")
-    if not out.parent.is_dir():
-        raise FileNotFoundError(f"{out.parent}: no such directory")
+    _check_dirs(out)
     config = load_solver_config(args.solver) if args.solver else SolverConfig()
     spec = SweepSpec(
         signal=load_signal_csv(args.infile),
@@ -143,10 +149,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         solver=config,
         source=f"file:{args.infile}",
     )
-    report = run_sweep(spec, workers=args.workers)
-    write_report_csv(report, out)
-    write_report_sidecar(report, spec, sidecar)
-    for ratio, median in report.median_mse:
+    rows = run_sweep(spec, workers=args.workers)
+    write_report_csv(rows, out)
+    write_report_sidecar(rows, spec, sidecar)
+    for ratio, median in ratio_medians(rows):
         print(f"ratio={ratio:.2f} median_mse={median!r}")
     return EXIT_OK
 

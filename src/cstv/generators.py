@@ -42,6 +42,8 @@ def _check_common(n: int, fs: float, bpm: float) -> None:
         raise ValueError("fs must be > 0")
     if not bpm > 0.0:
         raise ValueError("bpm must be > 0")
+    if not (np.isfinite(60.0 / bpm) and 60.0 / bpm * fs >= 1.0):
+        raise ValueError("a beat (60/bpm seconds) must be finite and at least one sample long: 60/bpm*fs >= 1")
 
 
 def gen_ecg_like(

@@ -9,9 +9,11 @@ reconstruction's mean would otherwise be pinned at zero.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -90,17 +92,7 @@ class SweepRow:
     final_tv: float = float("nan")
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    rows: tuple[SweepRow, ...]
-    median_mse: tuple[tuple[float, float], ...]
-    """Per-ratio (ratio, median mse over seeds), failed rows excluded."""
-    median_start_mse: tuple[tuple[float, float], ...]
-    """The same medians for the zero-filled starts of those rows."""
-
-
-def _run_row(args: tuple[Signal1D, float, int, SolverConfig]) -> SweepRow:
-    signal, ratio, seed, config = args
+def _run_row(signal: Signal1D, config: SolverConfig, ratio: float, seed: int) -> SweepRow:
     start = time.perf_counter()
     try:
         recovered, result = recover_signal(signal, ratio, seed, config)
@@ -112,45 +104,41 @@ def _run_row(args: tuple[Signal1D, float, int, SolverConfig]) -> SweepRow:
     return SweepRow(ratio=ratio, seed=seed, wall_time=time.perf_counter() - start, **row)
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepReport:
+def run_sweep(spec: SweepSpec, workers: int = 1) -> tuple[SweepRow, ...]:
     """Evaluate every (ratio, seed) pair on up to ``workers`` processes.
 
-    Rows are assembled sorted by (ratio, seed), so a parallel run produces
-    the same report as a serial one (wall_time aside).
+    Rows come back sorted by (ratio, seed), so a parallel run produces the
+    same rows as a serial one (wall_time aside).
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    jobs = [
-        (spec.signal, ratio, seed, spec.solver)
-        for ratio in sorted(spec.ratios)
-        for seed in sorted(spec.seeds)
-    ]
+    ratios, seeds = zip(*itertools.product(sorted(spec.ratios), sorted(spec.seeds)))
+    run_row = partial(_run_row, spec.signal, spec.solver)
     # the pool starts all of its processes at once, so it gets no more
-    # than there are jobs
-    pool_size = min(workers, len(jobs))
+    # than there are rows
+    pool_size = min(workers, len(ratios))
     if pool_size > 1:
         # imported here: loading it costs every other command start-up time
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            rows = list(pool.map(_run_row, jobs))
-    else:
-        rows = [_run_row(job) for job in jobs]
-
-    def medians(key):
-        done = {ratio: [getattr(r, key) for r in rows if r.ratio == ratio and not np.isnan(r.mse)]
-                for ratio in sorted(spec.ratios)}
-        return tuple((ratio, float(np.median(v)) if v else float("nan")) for ratio, v in done.items())
-
-    return SweepReport(rows=tuple(rows), median_mse=medians("mse"), median_start_mse=medians("start_mse"))
+            return tuple(pool.map(run_row, ratios, seeds))
+    return tuple(map(run_row, ratios, seeds))
 
 
-def write_report_csv(report: SweepReport, path: str | Path) -> None:
+def ratio_medians(rows: tuple[SweepRow, ...], key: str = "mse") -> tuple[tuple[float, float], ...]:
+    """Per-ratio (ratio, median of ``key`` over seeds), failed rows excluded."""
+    done = {ratio: [getattr(r, key) for r in rows if r.ratio == ratio and not np.isnan(r.mse)]
+            for ratio in sorted({r.ratio for r in rows})}
+    return tuple((ratio, float(np.median(v)) if v else float("nan")) for ratio, v in done.items())
+
+
+def write_report_csv(rows: tuple[SweepRow, ...], path: str | Path) -> None:
     """Per-row CSV.  Timing is deliberately left to the JSON sidecar so
     repeated runs of the same spec are byte-identical."""
     with open(path, "w", newline="") as fh:
         fh.write("ratio,seed,mse,iters_used,converged\n")
-        for row in report.rows:
+        for row in rows:
             fh.write(f"{row.ratio!r},{row.seed},{row.mse!r},{row.iters_used},{str(row.converged).lower()}\n")
 
 
@@ -158,7 +146,7 @@ def _nan_to_null(value: float) -> float | None:
     return None if np.isnan(value) else value
 
 
-def write_report_sidecar(report: SweepReport, spec: SweepSpec, path: str | Path) -> None:
+def write_report_sidecar(rows: tuple[SweepRow, ...], spec: SweepSpec, path: str | Path) -> None:
     """Provenance sidecar: spec, solver config, version, medians (also of
     the zero-filled starts), per-row start MSE and final TV, and timings.
     A failed row's NaN is written as null, so the file is strict JSON."""
@@ -169,11 +157,11 @@ def write_report_sidecar(report: SweepReport, spec: SweepSpec, path: str | Path)
         "ratios": list(spec.ratios),
         "seeds": list(spec.seeds),
         "solver": asdict(spec.solver),
-        "median_mse": {repr(ratio): _nan_to_null(med) for ratio, med in report.median_mse},
-        "median_start_mse": {repr(ratio): _nan_to_null(med) for ratio, med in report.median_start_mse},
-        "start_mse_rows": [_nan_to_null(r.start_mse) for r in report.rows],
-        "final_tv_rows": [_nan_to_null(r.final_tv) for r in report.rows],
-        "wall_time_total": sum(r.wall_time for r in report.rows),
-        "wall_time_rows": [r.wall_time for r in report.rows],
+        "median_mse": {repr(ratio): _nan_to_null(med) for ratio, med in ratio_medians(rows)},
+        "median_start_mse": {repr(ratio): _nan_to_null(med) for ratio, med in ratio_medians(rows, "start_mse")},
+        "start_mse_rows": [_nan_to_null(r.start_mse) for r in rows],
+        "final_tv_rows": [_nan_to_null(r.final_tv) for r in rows],
+        "wall_time_total": sum(r.wall_time for r in rows),
+        "wall_time_rows": [r.wall_time for r in rows],
     }
     Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")

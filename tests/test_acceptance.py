@@ -15,7 +15,7 @@ from _oracles import constraint_gap, naive_dct2, naive_tv, pipeline_measurements
 from cstv.generators import gen_ecg_like
 from cstv.sampling import draw_mask, measure
 from cstv.solver import SolverConfig, divergence, grad, reconstruct, tv
-from cstv.sweep import SweepSpec, mse, recover_signal, run_sweep, write_report_csv
+from cstv.sweep import SweepSpec, mse, ratio_medians, recover_signal, run_sweep, write_report_csv
 from cstv.transform import _dct2, _idct2
 
 RATIO_GRID = tuple(round(0.30 + 0.05 * i, 2) for i in range(13))
@@ -125,9 +125,9 @@ def test_criterion_6_table_trend():
         solver=SolverConfig(max_iters=2000, tol=1e-12),
         source="gen:ecg(n=4096,bpm=36,fs=4800,seed=0)",
     )
-    report = run_sweep(spec)
+    rows = run_sweep(spec)
     elapsed = time.perf_counter() - start
-    medians = dict(report.median_mse)
+    medians = dict(ratio_medians(rows))
     curve = [medians[r] for r in RATIO_GRID]
 
     inversions = sum(1 for a, b in zip(curve, curve[1:]) if b > a)

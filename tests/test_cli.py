@@ -196,6 +196,16 @@ def test_sweep_checks_its_out_path_before_solving(tmp_path, monkeypatch, out, co
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sig.csv"]
 
 
+# nodir does not exist; the other path is valid, and neither file is written
+@pytest.mark.parametrize("out,log", [("nodir/o.csv", "res.csv"), ("o.csv", "nodir/res.csv")])
+def test_reconstruct_checks_its_output_paths_before_solving(tmp_path, monkeypatch, out, log):
+    src = gen_csv(tmp_path / "sig.csv", "--kind", "ecg", "--n", "64", "--fs", "64", "--seed", "0")
+    monkeypatch.setattr("cstv.cli.recover_signal", lambda *a, **k: pytest.fail("recover_signal was called"))
+    assert run_cli("reconstruct", "--in", src, "--ratio", "0.5", "--seed", "1", "--out", str(tmp_path / out),
+                   "--residual-log", str(tmp_path / log)) == EXIT_IO
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sig.csv"]
+
+
 def test_sweep_from_file(tmp_path):
     src = tmp_path / "sig.csv"
     out = tmp_path / "rep.csv"

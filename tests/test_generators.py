@@ -45,7 +45,8 @@ def test_ecg_single_sample():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [dict(n=0), dict(n=10, bpm=0.0), dict(n=10, fs=-1.0)],
+    # the last two give a beat shorter than one sample
+    [dict(n=0), dict(n=10, bpm=0.0), dict(n=10, fs=-1.0), dict(n=10, fs=1e-320), dict(n=10, bpm=1e308)],
 )
 def test_ecg_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):
@@ -108,3 +109,10 @@ def test_respiration_rejects_bad_parameters():
         gen_respiration_like(5, fs=0.0, seed=0)
     with pytest.raises(ValueError):
         gen_respiration_like(5, fs=25, seed=0, bpm=-1.0)
+    with pytest.raises(ValueError, match="60/bpm"):
+        gen_respiration_like(5, fs=1e-320, seed=0)
+    with pytest.raises(ValueError, match="60/bpm"):
+        gen_respiration_like(5, fs=25, seed=0, bpm=1e308)
+    # a breath of infinite length
+    with pytest.raises(ValueError, match="60/bpm"):
+        gen_respiration_like(5, fs=25, seed=0, bpm=1e-320)

@@ -11,7 +11,8 @@ from _oracles import constraint_gap, pipeline_measurements
 from cstv.generators import gen_ecg_like
 from cstv.signal import Signal1D
 from cstv.solver import SolverConfig, SolverFailure, tv
-from cstv.sweep import SweepSpec, mse, recover_signal, run_sweep, write_report_csv, write_report_sidecar
+from cstv.sweep import (SweepSpec, mse, ratio_medians, recover_signal, run_sweep, write_report_csv,
+                        write_report_sidecar)
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
 
@@ -107,8 +108,8 @@ class RecordingPool:
     def __exit__(self, *exc_info):
         return False
 
-    def map(self, fn, jobs):
-        return map(fn, jobs)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 @pytest.mark.parametrize("workers,pool_sizes", [(1, []), (2, [2]), (64, [4])])
@@ -116,30 +117,30 @@ def test_sweep_pool_is_capped_at_the_job_count(monkeypatch, workers, pool_sizes)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     # run_sweep imports the pool class when it needs one, so it is patched at its source
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-    report = run_sweep(small_spec(), workers=workers)  # 2 ratios x 2 seeds = 4 jobs
+    rows = run_sweep(small_spec(), workers=workers)  # 2 ratios x 2 seeds = 4 jobs
     assert RecordingPool.sizes == pool_sizes
-    assert len(report.rows) == 4
+    assert len(rows) == 4
 
 
 def test_sweep_rows_are_sorted_and_complete():
-    report = run_sweep(small_spec())
-    assert [(r.ratio, r.seed) for r in report.rows] == [(0.4, 1), (0.4, 2), (1.0, 1), (1.0, 2)]
-    assert all(r.mse >= 0.0 for r in report.rows)
-    full = [r for r in report.rows if r.ratio == 1.0]
+    rows = run_sweep(small_spec())
+    assert [(r.ratio, r.seed) for r in rows] == [(0.4, 1), (0.4, 2), (1.0, 1), (1.0, 2)]
+    assert all(r.mse >= 0.0 for r in rows)
+    full = [r for r in rows if r.ratio == 1.0]
     assert all(r.mse <= 1e-10 for r in full)
 
 
 def test_sweep_zero_signal_all_rows_zero():
     spec = small_spec(signal=Signal1D(np.zeros(256)))
-    report = run_sweep(spec)
-    assert all(r.mse == 0.0 for r in report.rows)
+    rows = run_sweep(spec)
+    assert all(r.mse == 0.0 for r in rows)
 
 
 def test_sweep_deterministic_and_parallel_equivalent():
     spec = small_spec()
     a = run_sweep(spec, workers=1)
     b = run_sweep(spec, workers=2)
-    for ra, rb in zip(a.rows, b.rows):
+    for ra, rb in zip(a, b):
         assert (ra.ratio, ra.seed, ra.mse, ra.iters_used, ra.converged) == (
             rb.ratio,
             rb.seed,
@@ -147,7 +148,7 @@ def test_sweep_deterministic_and_parallel_equivalent():
             rb.iters_used,
             rb.converged,
         )
-    assert a.median_mse == b.median_mse
+    assert ratio_medians(a) == ratio_medians(b)
 
 
 def test_report_csv_bytes_are_reproducible(tmp_path):
@@ -165,12 +166,12 @@ def test_failed_rows_marked_nan_and_sweep_continues(tmp_path, monkeypatch):
         raise SolverFailure(7)
 
     monkeypatch.setattr(sweep_mod, "reconstruct", explode)
-    report = run_sweep(small_spec())
-    assert all(np.isnan(r.mse) and not r.converged and r.iters_used == 7 for r in report.rows)
+    rows = run_sweep(small_spec())
+    assert all(np.isnan(r.mse) and not r.converged and r.iters_used == 7 for r in rows)
     out = tmp_path / "failed.csv"
-    write_report_csv(report, out)
+    write_report_csv(rows, out)
     assert ",nan," in out.read_text().splitlines()[1]
-    assert all(np.isnan(m) for _, m in report.median_mse)
+    assert all(np.isnan(m) for _, m in ratio_medians(rows))
 
 
 def test_overflowing_norms_fail_the_solve_and_the_row():
@@ -181,8 +182,8 @@ def test_overflowing_norms_fail_the_solve_and_the_row():
     with pytest.raises(SolverFailure) as excinfo:
         recover_signal(signal, 0.5, seed=1, config=config)
     assert excinfo.value.iteration == 1
-    report = run_sweep(SweepSpec(signal=signal, ratios=(0.5,), seeds=(1,), solver=config))
-    (row,) = report.rows
+    rows = run_sweep(SweepSpec(signal=signal, ratios=(0.5,), seeds=(1,), solver=config))
+    (row,) = rows
     assert np.isnan(row.mse) and not row.converged and row.iters_used == 1
 
 
@@ -194,10 +195,10 @@ def test_overflowing_norms_fail_the_solve_and_the_row():
 ])
 def test_samples_near_float_max_fail_their_rows_and_the_sweep_completes(samples):
     signal = Signal1D(samples)
-    report = run_sweep(SweepSpec(signal=signal, ratios=(0.5, 1.0), seeds=(1, 2)))
-    assert len(report.rows) == 4
-    assert all(np.isnan(r.mse) and not r.converged and r.iters_used == 1 for r in report.rows)
-    assert all(np.isnan(m) for _, m in report.median_mse)
+    rows = run_sweep(SweepSpec(signal=signal, ratios=(0.5, 1.0), seeds=(1, 2)))
+    assert len(rows) == 4
+    assert all(np.isnan(r.mse) and not r.converged and r.iters_used == 1 for r in rows)
+    assert all(np.isnan(m) for _, m in ratio_medians(rows))
 
 
 def test_failed_rows_write_a_strict_json_sidecar(tmp_path):
@@ -206,9 +207,9 @@ def test_failed_rows_write_a_strict_json_sidecar(tmp_path):
 
     def sidecar_of(samples, seeds):
         spec = SweepSpec(signal=Signal1D(samples), ratios=(0.5,), seeds=seeds)
-        report = run_sweep(spec)
-        write_report_sidecar(report, spec, tmp_path / "report.json")
-        return report, json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+        rows = run_sweep(spec)
+        write_report_sidecar(rows, spec, tmp_path / "report.json")
+        return rows, json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
 
     samples = gen_ecg_like(256, bpm=60, fs=64, seed=0).samples
     _, sidecar = sidecar_of(samples * 1e200, (1,))
@@ -216,24 +217,24 @@ def test_failed_rows_write_a_strict_json_sidecar(tmp_path):
     assert sidecar["start_mse_rows"] == sidecar["final_tv_rows"] == [None]
 
     # rows that succeed write their final TV, aligned with their start MSE
-    report, sidecar = sidecar_of(samples, (1, 2))
-    assert sidecar["start_mse_rows"] == [r.start_mse for r in report.rows]
-    assert sidecar["final_tv_rows"] == [r.final_tv for r in report.rows]
+    rows, sidecar = sidecar_of(samples, (1, 2))
+    assert sidecar["start_mse_rows"] == [r.start_mse for r in rows]
+    assert sidecar["final_tv_rows"] == [r.final_tv for r in rows]
     assert all(value > 0.0 for value in sidecar["final_tv_rows"])
 
 
 def test_median_aggregation_ignores_failed_rows(monkeypatch):
     real_run_row = sweep_mod._run_row
 
-    def flaky(args):
-        row = real_run_row(args)
+    def flaky(*args):
+        row = real_run_row(*args)
         if row.seed == 1 and row.ratio == 0.4:
             return sweep_mod.SweepRow(row.ratio, row.seed, float("nan"), 0, False, row.wall_time)
         return row
 
     monkeypatch.setattr(sweep_mod, "_run_row", flaky)
-    report = run_sweep(small_spec())
-    medians = dict(report.median_mse)
+    rows = run_sweep(small_spec())
+    medians = dict(ratio_medians(rows))
     assert not np.isnan(medians[0.4])
 
 
@@ -308,12 +309,12 @@ def test_ecg_recovery_beats_its_zero_filled_start_from_ratio_045():
         seeds=(0, 1, 2),
         source="gen:ecg(n=1024,bpm=60,fs=360,seed=5)",
     )
-    report = run_sweep(spec)
-    starts = dict(report.median_start_mse)
-    for ratio, median in report.median_mse:
+    rows = run_sweep(spec)
+    starts = dict(ratio_medians(rows, "start_mse"))
+    for ratio, median in ratio_medians(rows):
         if ratio >= 0.45:
             assert median < starts[ratio], (ratio, median, starts[ratio])
-    assert all(np.isfinite(r.start_mse) and r.start_mse > 0.0 for r in report.rows)
+    assert all(np.isfinite(r.start_mse) and r.start_mse > 0.0 for r in rows)
 
 
 @pytest.mark.parametrize("ratio", [0.3, 0.6, 0.9])
