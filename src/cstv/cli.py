@@ -26,12 +26,6 @@ EXIT_IO = 3
 GENERATORS = {"ecg": gen_ecg_like, "pressure": gen_pressure_like, "respiration": gen_respiration_like}
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # argparse defaults to exit code 2
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 def write_pgm(samples: np.ndarray, path: str | Path) -> tuple[float, float]:
     """The samples' square image as an 8-bit binary PGM, min-max normalized
     over the samples, with the zero padding black; returns the bounds used."""
@@ -48,8 +42,8 @@ def write_pgm(samples: np.ndarray, path: str | Path) -> tuple[float, float]:
     return lo, hi
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="cstv", description="TV recovery of signals from random 2D DCT coefficients")
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="cstv", description="TV recovery of signals from random 2D DCT coefficients")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic signal CSV")
@@ -60,6 +54,7 @@ def _build_parser() -> _Parser:
                      help="beats per minute (ecg, pressure) or breaths per minute (respiration)")
     gen.add_argument("--seed", required=True, type=int)
     gen.add_argument("--out", required=True)
+    gen.set_defaults(handler=_cmd_gen)
 
     rec = sub.add_parser("reconstruct", help="recover a signal from a random coefficient subset")
     rec.add_argument("--in", dest="infile", required=True)
@@ -71,6 +66,7 @@ def _build_parser() -> _Parser:
                      help="write original/reconstructed PGM images and a bounds sidecar")
     rec.add_argument("--residual-log", default=None, metavar="FILE",
                      help="write each iteration's stopping-test residuals as CSV")
+    rec.set_defaults(handler=_cmd_reconstruct)
 
     swp = sub.add_parser("sweep", help="MSE versus sampling ratio over seeds")
     swp.add_argument("--in", dest="infile", required=True)
@@ -79,6 +75,7 @@ def _build_parser() -> _Parser:
     swp.add_argument("--solver", default=None)
     swp.add_argument("--workers", type=int, default=1)
     swp.add_argument("--out", required=True)
+    swp.set_defaults(handler=_cmd_sweep)
     return parser
 
 
@@ -97,15 +94,25 @@ def _write_residual_log(path: str | None, residuals: tuple[tuple[float, ...], ..
                 fh.write(f"{iteration},{','.join(map(repr, norms))}\n")
 
 
-def _check_dirs(*paths: str | Path | None) -> None:
-    """Raise before anything is solved, which a late write failure would waste."""
-    for parent in (Path(p).parent for p in paths if p):
-        if not parent.is_dir():
-            raise FileNotFoundError(f"{parent}: no such directory")
+def _check_outputs(*paths: str | Path | None) -> None:
+    """Raise before anything is loaded or solved, which a late write failure
+    would waste: two outputs at one path are a usage error, and an output
+    that is a directory, or whose directory is missing, an I/O error."""
+    resolved = [Path(p).resolve() for p in paths if p]
+    for path in resolved:
+        if resolved.count(path) > 1:
+            raise ValueError(f"two outputs would be written to {path}")
+    for path in resolved:
+        if path.is_dir():
+            raise IsADirectoryError(f"{path}: is a directory")
+        if not path.parent.is_dir():
+            raise FileNotFoundError(f"{path.parent}: no such directory")
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
-    _check_dirs(args.out, args.residual_log)
+    _check_outputs(args.out, args.residual_log)
+    if args.dump_images:
+        Path(args.dump_images).mkdir(parents=True, exist_ok=True)
     config = load_solver_config(args.solver) if args.solver else SolverConfig()
     signal = load_signal_csv(args.infile)
     try:
@@ -117,7 +124,6 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     _write_residual_log(args.residual_log, result.residuals)
     if args.dump_images:
         out_dir = Path(args.dump_images)
-        out_dir.mkdir(parents=True, exist_ok=True)
         bounds = {}
         for name, samples in (("original", signal.samples), ("reconstructed", recovered.samples)):
             lo, hi = write_pgm(samples, out_dir / f"{name}.pgm")
@@ -136,11 +142,8 @@ def _parse_list(text: str, cast) -> tuple:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    sidecar = out.with_suffix(".json")
-    if sidecar == out:
-        raise ValueError(f"--out {out} is the path of its own JSON sidecar")
-    _check_dirs(out)
+    sidecar = Path(args.out).with_suffix(".json")
+    _check_outputs(args.out, sidecar)
     config = load_solver_config(args.solver) if args.solver else SolverConfig()
     spec = SweepSpec(
         signal=load_signal_csv(args.infile),
@@ -150,7 +153,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         source=f"file:{args.infile}",
     )
     rows = run_sweep(spec, workers=args.workers)
-    write_report_csv(rows, out)
+    write_report_csv(rows, args.out)
     write_report_sidecar(rows, spec, sidecar)
     for ratio, median in ratio_medians(rows):
         print(f"ratio={ratio:.2f} median_mse={median!r}")
@@ -158,16 +161,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "reconstruct":
-            return _cmd_reconstruct(args)
-        return _cmd_sweep(args)
-    except SystemExit as exc:  # argparse's usage errors and --help
-        return exc.code
+        args = _build_parser().parse_args(argv)
+        return args.handler(args)
+    except SystemExit as exc:  # argparse exits 2 on a usage error and 0 after --help
+        return EXIT_USAGE if exc.code == 2 else exc.code
     except SolverFailure as exc:
         print(f"cstv: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -130,11 +130,16 @@ def divergence(gx: Array, gy: Array, out: Array | None = None) -> Array:
 
 
 def tv(x: Array) -> float:
-    """Isotropic total variation: sum of per-pixel gradient magnitudes."""
+    """Isotropic total variation: sum of per-pixel gradient magnitudes, inf
+    when that sum of finite magnitudes exceeds the float range."""
+    # hypot neither underflows nor overflows where the squares would.
     # math.fsum is exactly rounded, which makes the value independent of
     # summation order and therefore bit-comparable against a loop oracle
     gx, gy = grad(x)
-    return math.fsum(np.sqrt(gx * gx + gy * gy).ravel())
+    try:
+        return math.fsum(np.hypot(gx, gy).ravel())
+    except OverflowError:
+        return math.inf
 
 
 def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None) -> ReconstructionResult:

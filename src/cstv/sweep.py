@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -25,12 +26,19 @@ from .solver import ReconstructionResult, SolverConfig, SolverFailure, reconstru
 from .transform import _dct2
 
 
+@np.errstate(over="ignore")
 def mse(a: Signal1D, b: Signal1D) -> float:
-    """Mean squared error over the original samples."""
+    """Mean squared error over the original samples: finite whenever it fits
+    in a float, even when a square or the sum of the squares does not."""
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     diff = a.samples - b.samples
-    return float(np.mean(diff * diff))
+    err = float(np.mean(diff * diff))
+    if err == math.inf:
+        # each scaled square is at most the mean, and so is each partial sum
+        scaled = diff / math.sqrt(len(diff))
+        err = float(np.sum(scaled * scaled))
+    return err
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -142,14 +150,15 @@ def write_report_csv(rows: tuple[SweepRow, ...], path: str | Path) -> None:
             fh.write(f"{row.ratio!r},{row.seed},{row.mse!r},{row.iters_used},{str(row.converged).lower()}\n")
 
 
-def _nan_to_null(value: float) -> float | None:
-    return None if np.isnan(value) else value
+def _finite_or_null(value: float) -> float | None:
+    return value if math.isfinite(value) else None
 
 
 def write_report_sidecar(rows: tuple[SweepRow, ...], spec: SweepSpec, path: str | Path) -> None:
     """Provenance sidecar: spec, solver config, version, medians (also of
     the zero-filled starts), per-row start MSE and final TV, and timings.
-    A failed row's NaN is written as null, so the file is strict JSON."""
+    A failed row's NaN, and any other value that is not finite, is written
+    as null, so the file is strict JSON."""
     payload = {
         "version": __version__,
         "source": spec.source,
@@ -157,10 +166,10 @@ def write_report_sidecar(rows: tuple[SweepRow, ...], spec: SweepSpec, path: str 
         "ratios": list(spec.ratios),
         "seeds": list(spec.seeds),
         "solver": asdict(spec.solver),
-        "median_mse": {repr(ratio): _nan_to_null(med) for ratio, med in ratio_medians(rows)},
-        "median_start_mse": {repr(ratio): _nan_to_null(med) for ratio, med in ratio_medians(rows, "start_mse")},
-        "start_mse_rows": [_nan_to_null(r.start_mse) for r in rows],
-        "final_tv_rows": [_nan_to_null(r.final_tv) for r in rows],
+        "median_mse": {repr(ratio): _finite_or_null(med) for ratio, med in ratio_medians(rows)},
+        "median_start_mse": {repr(ratio): _finite_or_null(med) for ratio, med in ratio_medians(rows, "start_mse")},
+        "start_mse_rows": [_finite_or_null(r.start_mse) for r in rows],
+        "final_tv_rows": [_finite_or_null(r.final_tv) for r in rows],
         "wall_time_total": sum(r.wall_time for r in rows),
         "wall_time_rows": [r.wall_time for r in rows],
     }

@@ -186,24 +186,39 @@ def test_sweep_from_file_rejects_generator_flags(tmp_path, capsys, flags):
     assert all(flag in err for flag in flags[::2])
 
 
-# the JSON sidecar would overwrite rep.json; nodir does not exist
-@pytest.mark.parametrize("out,code", [("rep.json", EXIT_USAGE), ("nodir/r.csv", EXIT_IO)])
+def written_paths(tmp_path):
+    return sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
+
+
+# the JSON sidecar would overwrite rep.json; nodir does not exist, and made
+# is an existing directory
+@pytest.mark.parametrize("out,code", [("rep.json", EXIT_USAGE), ("nodir/r.csv", EXIT_IO), ("made", EXIT_IO)])
 def test_sweep_checks_its_out_path_before_solving(tmp_path, monkeypatch, out, code):
     src = gen_csv(tmp_path / "sig.csv", "--kind", "ecg", "--n", "64", "--fs", "64", "--seed", "0")
+    (tmp_path / "made").mkdir()
     monkeypatch.setattr("cstv.cli.run_sweep", lambda *a, **k: pytest.fail("run_sweep was called"))
     assert run_cli("sweep", "--in", src, "--ratios", "1.0", "--seeds", "1",
                    "--out", str(tmp_path / out)) == code
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["sig.csv"]
+    assert written_paths(tmp_path) == ["made", "sig.csv"]
 
 
-# nodir does not exist; the other path is valid, and neither file is written
-@pytest.mark.parametrize("out,log", [("nodir/o.csv", "res.csv"), ("o.csv", "nodir/res.csv")])
-def test_reconstruct_checks_its_output_paths_before_solving(tmp_path, monkeypatch, out, log):
+# nodir does not exist, made is an existing directory and sig.csv a file;
+# the other paths are valid, and no file is written
+@pytest.mark.parametrize("out,log,images,code", [
+    pytest.param("nodir/o.csv", "res.csv", None, EXIT_IO, id="nodir/o.csv-res.csv"),
+    pytest.param("o.csv", "nodir/res.csv", None, EXIT_IO, id="o.csv-nodir/res.csv"),
+    pytest.param("o.csv", "o.csv", None, EXIT_USAGE, id="out-is-the-residual-log"),
+    pytest.param("made", "res.csv", None, EXIT_IO, id="out-is-a-directory"),
+    pytest.param("o.csv", "res.csv", "sig.csv", EXIT_IO, id="dump-images-is-a-file"),
+])
+def test_reconstruct_checks_its_output_paths_before_solving(tmp_path, monkeypatch, out, log, images, code):
     src = gen_csv(tmp_path / "sig.csv", "--kind", "ecg", "--n", "64", "--fs", "64", "--seed", "0")
+    (tmp_path / "made").mkdir()
     monkeypatch.setattr("cstv.cli.recover_signal", lambda *a, **k: pytest.fail("recover_signal was called"))
+    dump = ("--dump-images", str(tmp_path / images)) if images else ()
     assert run_cli("reconstruct", "--in", src, "--ratio", "0.5", "--seed", "1", "--out", str(tmp_path / out),
-                   "--residual-log", str(tmp_path / log)) == EXIT_IO
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["sig.csv"]
+                   "--residual-log", str(tmp_path / log), *dump) == code
+    assert written_paths(tmp_path) == ["made", "sig.csv"]
 
 
 def test_sweep_from_file(tmp_path):
@@ -287,7 +302,7 @@ FAILURE_MESSAGE = "cstv: solver failure: solver diverged at iteration 1\n"
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_solve_exits_with_solver_failure(tmp_path, capsys):
     src = tmp_path / "huge.csv"
-    save_signal_csv(Signal1D(gen_ecg_like(1000, bpm=60, fs=250, seed=0).samples * 1e200), src)
+    save_signal_csv(Signal1D(gen_ecg_like(1000, bpm=60, fs=250, seed=0).samples * 2e306), src)
     out = tmp_path / "o.csv"
     assert run_cli("reconstruct", "--in", str(src), "--ratio", "0.5", "--seed", "1",
                    "--out", str(out)) == EXIT_SOLVER

@@ -340,7 +340,7 @@ def test_reconstruct_equals_allocating_reference_on_ecg(ratio):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflow_fails_at_the_reference_iteration():
-    meas = ecg_measurements(0.5, seed=1, scale=1e200)
+    meas = ecg_measurements(0.5, seed=1, scale=2e306)
     config = SolverConfig(max_iters=200)
     with pytest.raises(SolverFailure) as got:
         reconstruct(meas, config)

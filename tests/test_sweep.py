@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -21,6 +21,9 @@ def test_mse_examples():
     assert mse(Signal1D([1, 2, 3]), Signal1D([1, 2, 3])) == 0.0
     assert mse(Signal1D([0, 0]), Signal1D([1, 1])) == 1.0
     assert mse(Signal1D([0, 3]), Signal1D([4, 3])) == 8.0
+    # the sum of the squares, or a square itself, overflows, but the mean fits
+    assert mse(Signal1D(np.full(4, 1e154)), Signal1D(np.zeros(4))) == pytest.approx(1e308, rel=1e-15)
+    assert mse(Signal1D([2e154, 0, 0, 0]), Signal1D(np.zeros(4))) == pytest.approx(1e308, rel=1e-15)
 
 
 def test_mse_length_mismatch():
@@ -175,9 +178,9 @@ def test_failed_rows_marked_nan_and_sweep_continues(tmp_path, monkeypatch):
 
 
 def test_overflowing_norms_fail_the_solve_and_the_row():
-    # at this amplitude every sample and iterate is finite, but the image
-    # norms in the stopping test overflow to inf
-    signal = Signal1D(gen_ecg_like(1000, bpm=60, fs=250, seed=0).samples * 1e200)
+    # at this amplitude the samples and their mean are finite, but the sum
+    # of the start's gradient magnitudes, its TV, overflows to inf
+    signal = Signal1D(gen_ecg_like(1000, bpm=60, fs=250, seed=0).samples * 2e306)
     config = SolverConfig(max_iters=200)
     with pytest.raises(SolverFailure) as excinfo:
         recover_signal(signal, 0.5, seed=1, config=config)
@@ -212,9 +215,16 @@ def test_failed_rows_write_a_strict_json_sidecar(tmp_path):
         return rows, json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
 
     samples = gen_ecg_like(256, bpm=60, fs=64, seed=0).samples
-    _, sidecar = sidecar_of(samples * 1e200, (1,))
+    _, sidecar = sidecar_of(samples * 1e307, (1,))
     assert sidecar["median_mse"] == sidecar["median_start_mse"] == {"0.5": None}
     assert sidecar["start_mse_rows"] == sidecar["final_tv_rows"] == [None]
+
+    # a row that converges but whose MSE exceeds the float range writes inf
+    # to the CSV and null to the sidecar
+    (row,), sidecar = sidecar_of(samples * 1e200, (1,))
+    assert row.converged and row.mse == row.start_mse == np.inf
+    assert sidecar["median_mse"] == sidecar["median_start_mse"] == {"0.5": None}
+    assert sidecar["start_mse_rows"] == [None] and sidecar["final_tv_rows"] == [row.final_tv]
 
     # rows that succeed write their final TV, aligned with their start MSE
     rows, sidecar = sidecar_of(samples, (1, 2))
@@ -248,12 +258,14 @@ EQUIVARIANCE_RTOL = 1e-12
 @given(
     st.integers(1, 300),
     st.integers(0, 2**32 - 1),
-    st.sampled_from([1e-150, 1e-6, 1.0, 1e6, 1e150]),
+    st.sampled_from([1e-200, 1e-150, 1e-6, 1.0, 1e6, 1e150, 1e200]),
     st.floats(-3.0, 3.0),
     st.floats(0.02, 1.0),
     st.integers(0, 1000),
 )
 @settings(max_examples=40, deadline=None)
+# the squared gradients of this start underflowed, so its TV came out 0
+@example(n=2, data_seed=0, c=1e-150, offset=0.0, ratio=0.5, seed=960)
 def test_recovery_is_scale_and_offset_equivariant(n, data_seed, c, offset, ratio, seed):
     samples = np.random.default_rng(data_seed).normal(size=n)
     base, base_result = recover_signal(Signal1D(samples), ratio, seed)
@@ -264,14 +276,16 @@ def test_recovery_is_scale_and_offset_equivariant(n, data_seed, c, offset, ratio
     assert scaled_result.converged == base_result.converged
 
 
-def test_ecg_scaled_by_1e150_converges_after_the_same_iterations():
+# at 1e154 the squares of the errors sum past the float maximum, but their
+# mean does not
+@pytest.mark.parametrize("c", [1e150, 1e154])
+def test_huge_ecg_converges_after_the_same_iterations(c):
     base = gen_ecg_like(1000, bpm=60, fs=250, seed=0)
-    big = Signal1D(base.samples * 1e150)
+    big = Signal1D(base.samples * c)
     recovered, result = recover_signal(base, 0.5, seed=1)
     big_recovered, big_result = recover_signal(big, 0.5, seed=1)
     assert big_result.converged and big_result.iters_used == result.iters_used > 10
-    rel = mse(base, recovered) / np.var(base.samples)
-    assert mse(big, big_recovered) / np.var(big.samples) == pytest.approx(rel, rel=1e-9)
+    assert mse(big, big_recovered) / (c * c) == pytest.approx(mse(base, recovered), rel=1e-9)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
