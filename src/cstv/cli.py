@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .generators import gen_ecg_like, gen_pressure_like, gen_respiration_like
-from .signal import SignalFormatError, load_signal_csv, reshape_to_image, save_signal_csv
+from .signal import Signal1D, SignalFormatError, load_signal_csv, reshape_to_image, save_signal_csv
 from .solver import SolverConfig, SolverFailure, load_solver_config
 from .sweep import SweepSpec, mse, ratio_medians, recover_signal, run_sweep, write_report_csv, write_report_sidecar
 
@@ -56,25 +56,24 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
     gen.set_defaults(handler=_cmd_gen)
 
-    rec = sub.add_parser("reconstruct", help="recover a signal from a random coefficient subset")
-    rec.add_argument("--in", dest="infile", required=True)
+    solving = argparse.ArgumentParser(add_help=False)
+    solving.add_argument("--in", dest="infile", required=True)
+    solving.add_argument("--solver", default=None, help="solver config file (key = value lines)")
+    solving.add_argument("--out", required=True)
+
+    rec = sub.add_parser("reconstruct", parents=[solving], help="recover a signal from a random coefficient subset")
     rec.add_argument("--ratio", required=True, type=float)
     rec.add_argument("--seed", required=True, type=int)
-    rec.add_argument("--solver", default=None, help="solver config file (key = value lines)")
-    rec.add_argument("--out", required=True)
     rec.add_argument("--dump-images", default=None, metavar="DIR",
-                     help="write original/reconstructed PGM images and a bounds sidecar")
+                     help="write original/reconstructed PGM images and a bounds sidecar into DIR, which must exist")
     rec.add_argument("--residual-log", default=None, metavar="FILE",
                      help="write each iteration's stopping-test residuals as CSV")
     rec.set_defaults(handler=_cmd_reconstruct)
 
-    swp = sub.add_parser("sweep", help="MSE versus sampling ratio over seeds")
-    swp.add_argument("--in", dest="infile", required=True)
+    swp = sub.add_parser("sweep", parents=[solving], help="MSE versus sampling ratio over seeds")
     swp.add_argument("--ratios", required=True, help="comma-separated, e.g. 0.3,0.5,0.9")
     swp.add_argument("--seeds", required=True, help="comma-separated mask seeds")
-    swp.add_argument("--solver", default=None)
     swp.add_argument("--workers", type=int, default=1)
-    swp.add_argument("--out", required=True)
     swp.set_defaults(handler=_cmd_sweep)
     return parser
 
@@ -94,27 +93,29 @@ def _write_residual_log(path: str | None, residuals: tuple[tuple[float, ...], ..
                 fh.write(f"{iteration},{','.join(map(repr, norms))}\n")
 
 
-def _check_outputs(*paths: str | Path | None) -> None:
-    """Raise before anything is loaded or solved, which a late write failure
-    would waste: two outputs at one path are a usage error, and an output
-    that is a directory, or whose directory is missing, an I/O error."""
-    resolved = [Path(p).resolve() for p in paths if p]
-    for path in resolved:
-        if resolved.count(path) > 1:
-            raise ValueError(f"two outputs would be written to {path}")
-    for path in resolved:
+def _read_inputs(args: argparse.Namespace, *outputs: str | Path | None) -> tuple[SolverConfig, Signal1D]:
+    """Check every file the command names, then read the solver config and
+    the signal.  A file named twice, an input too, is a usage error, and an
+    output that is a directory, or whose directory is missing, an I/O error;
+    both raise before a late write failure could waste a solve."""
+    written = [Path(p).resolve() for p in outputs if p]
+    named = [Path(p).resolve() for p in (args.infile, args.solver) if p] + written
+    for path in named:
+        if named.count(path) > 1:
+            raise ValueError(f"{path} is named twice")
+    for path in written:
         if path.is_dir():
             raise IsADirectoryError(f"{path}: is a directory")
         if not path.parent.is_dir():
             raise FileNotFoundError(f"{path.parent}: no such directory")
+    config = load_solver_config(args.solver) if args.solver else SolverConfig()
+    return config, load_signal_csv(args.infile)
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
-    _check_outputs(args.out, args.residual_log)
-    if args.dump_images:
-        Path(args.dump_images).mkdir(parents=True, exist_ok=True)
-    config = load_solver_config(args.solver) if args.solver else SolverConfig()
-    signal = load_signal_csv(args.infile)
+    names = ("original.pgm", "reconstructed.pgm", "bounds.json")
+    images = [Path(args.dump_images, name) for name in names] if args.dump_images else []
+    config, signal = _read_inputs(args, args.out, args.residual_log, *images)
     try:
         recovered, result = recover_signal(signal, args.ratio, args.seed, config)
     except SolverFailure as failure:
@@ -122,13 +123,12 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
         raise
     save_signal_csv(recovered, args.out)
     _write_residual_log(args.residual_log, result.residuals)
-    if args.dump_images:
-        out_dir = Path(args.dump_images)
+    if images:
         bounds = {}
-        for name, samples in (("original", signal.samples), ("reconstructed", recovered.samples)):
-            lo, hi = write_pgm(samples, out_dir / f"{name}.pgm")
-            bounds[name] = {"min": lo, "max": hi}
-        (out_dir / "bounds.json").write_text(json.dumps(bounds, indent=2) + "\n")
+        for path, samples in zip(images, (signal.samples, recovered.samples)):
+            lo, hi = write_pgm(samples, path)
+            bounds[path.stem] = {"min": lo, "max": hi}
+        images[-1].write_text(json.dumps(bounds, indent=2) + "\n")
     err = mse(signal, recovered)
     print(f"mse={err!r} iters={result.iters_used} converged={result.converged}")
     return EXIT_OK
@@ -143,10 +143,9 @@ def _parse_list(text: str, cast) -> tuple:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     sidecar = Path(args.out).with_suffix(".json")
-    _check_outputs(args.out, sidecar)
-    config = load_solver_config(args.solver) if args.solver else SolverConfig()
+    config, signal = _read_inputs(args, args.out, sidecar)
     spec = SweepSpec(
-        signal=load_signal_csv(args.infile),
+        signal=signal,
         ratios=_parse_list(args.ratios, float),
         seeds=_parse_list(args.seeds, int),
         solver=config,

@@ -75,8 +75,9 @@ class SweepSpec:
             raise ValueError("ratios must be non-empty")
         if any(not (0.0 < r <= 1.0) for r in self.ratios):
             raise ValueError("every ratio must lie in (0, 1]")
-        if not self.seeds:
-            raise ValueError("seeds must be non-empty")
+        # a mask seed below 0 would fail only inside its row, after the rows before it were solved
+        if not self.seeds or min(self.seeds) < 0:
+            raise ValueError(f"seeds must be non-empty and >= 0, got {self.seeds}")
         object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         # a repeated value would re-solve the same (ratio, seed) pair and
@@ -156,7 +157,7 @@ def _finite_or_null(value: float) -> float | None:
 
 def write_report_sidecar(rows: tuple[SweepRow, ...], spec: SweepSpec, path: str | Path) -> None:
     """Provenance sidecar: spec, solver config, version, medians (also of
-    the zero-filled starts), per-row start MSE and final TV, and timings.
+    the zero-filled starts), per-row start MSE, final TV and wall time.
     A failed row's NaN, and any other value that is not finite, is written
     as null, so the file is strict JSON."""
     payload = {
@@ -170,7 +171,6 @@ def write_report_sidecar(rows: tuple[SweepRow, ...], spec: SweepSpec, path: str 
         "median_start_mse": {repr(ratio): _finite_or_null(med) for ratio, med in ratio_medians(rows, "start_mse")},
         "start_mse_rows": [_finite_or_null(r.start_mse) for r in rows],
         "final_tv_rows": [_finite_or_null(r.final_tv) for r in rows],
-        "wall_time_total": sum(r.wall_time for r in rows),
         "wall_time_rows": [r.wall_time for r in rows],
     }
     Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")

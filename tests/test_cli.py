@@ -62,6 +62,7 @@ def test_reconstruct_dump_images_and_residual_log(tmp_path, capsys):
         out = tmp_path / f"out{n}.csv"
         imgdir = tmp_path / f"imgs{n}"
         log = tmp_path / f"residuals{n}.csv"
+        imgdir.mkdir()
         run_cli("gen", *gen_args, "--n", str(n), "--out", str(src))
         assert run_cli("reconstruct", "--in", str(src), "--ratio", "0.5", "--seed", "1",
                        "--out", str(out), "--dump-images", str(imgdir),
@@ -190,35 +191,50 @@ def written_paths(tmp_path):
     return sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
 
 
-# the JSON sidecar would overwrite rep.json; nodir does not exist, and made
-# is an existing directory
-@pytest.mark.parametrize("out,code", [("rep.json", EXIT_USAGE), ("nodir/r.csv", EXIT_IO), ("made", EXIT_IO)])
-def test_sweep_checks_its_out_path_before_solving(tmp_path, monkeypatch, out, code):
-    src = gen_csv(tmp_path / "sig.csv", "--kind", "ecg", "--n", "64", "--fs", "64", "--seed", "0")
+# the JSON sidecar would overwrite rep.json, and in the last two cases the
+# input; nodir does not exist, and made is an existing directory
+@pytest.mark.parametrize("src,out,code", [
+    pytest.param("sig.csv", "rep.json", EXIT_USAGE, id="rep.json-1"),
+    pytest.param("sig.csv", "nodir/r.csv", EXIT_IO, id="nodir/r.csv-3"),
+    pytest.param("sig.csv", "made", EXIT_IO, id="made-3"),
+    pytest.param("sig.csv", "sig.csv", EXIT_USAGE, id="out-is-the-input"),
+    pytest.param("c.json", "c.csv", EXIT_USAGE, id="sidecar-is-the-input"),
+])
+def test_sweep_checks_its_out_path_before_solving(tmp_path, monkeypatch, src, out, code):
+    gen_csv(tmp_path / src, "--kind", "ecg", "--n", "64", "--fs", "64", "--seed", "0")
+    signal_bytes = (tmp_path / src).read_bytes()
     (tmp_path / "made").mkdir()
     monkeypatch.setattr("cstv.cli.run_sweep", lambda *a, **k: pytest.fail("run_sweep was called"))
-    assert run_cli("sweep", "--in", src, "--ratios", "1.0", "--seeds", "1",
+    assert run_cli("sweep", "--in", str(tmp_path / src), "--ratios", "1.0", "--seeds", "1",
                    "--out", str(tmp_path / out)) == code
-    assert written_paths(tmp_path) == ["made", "sig.csv"]
+    assert written_paths(tmp_path) == sorted(["made", src])
+    assert (tmp_path / src).read_bytes() == signal_bytes
 
 
-# nodir does not exist, made is an existing directory and sig.csv a file;
-# the other paths are valid, and no file is written
+# nodir does not exist, made is an existing directory and sig.csv, the input,
+# a file; the other paths are valid, and no file is written
 @pytest.mark.parametrize("out,log,images,code", [
     pytest.param("nodir/o.csv", "res.csv", None, EXIT_IO, id="nodir/o.csv-res.csv"),
     pytest.param("o.csv", "nodir/res.csv", None, EXIT_IO, id="o.csv-nodir/res.csv"),
     pytest.param("o.csv", "o.csv", None, EXIT_USAGE, id="out-is-the-residual-log"),
     pytest.param("made", "res.csv", None, EXIT_IO, id="out-is-a-directory"),
     pytest.param("o.csv", "res.csv", "sig.csv", EXIT_IO, id="dump-images-is-a-file"),
+    pytest.param("sig.csv", "res.csv", None, EXIT_USAGE, id="out-is-the-input"),
+    pytest.param("o.csv", "sig.csv", None, EXIT_USAGE, id="residual-log-is-the-input"),
+    pytest.param("made/original.pgm", "res.csv", "made", EXIT_USAGE, id="out-is-a-dumped-image"),
+    pytest.param("x", "res.csv", "x", EXIT_IO, id="out-is-the-missing-dump-images-directory"),
+    pytest.param("o.csv", "res.csv", "nodir", EXIT_IO, id="dump-images-directory-is-missing"),
 ])
 def test_reconstruct_checks_its_output_paths_before_solving(tmp_path, monkeypatch, out, log, images, code):
     src = gen_csv(tmp_path / "sig.csv", "--kind", "ecg", "--n", "64", "--fs", "64", "--seed", "0")
+    signal_bytes = (tmp_path / "sig.csv").read_bytes()
     (tmp_path / "made").mkdir()
     monkeypatch.setattr("cstv.cli.recover_signal", lambda *a, **k: pytest.fail("recover_signal was called"))
     dump = ("--dump-images", str(tmp_path / images)) if images else ()
     assert run_cli("reconstruct", "--in", src, "--ratio", "0.5", "--seed", "1", "--out", str(tmp_path / out),
                    "--residual-log", str(tmp_path / log), *dump) == code
     assert written_paths(tmp_path) == ["made", "sig.csv"]
+    assert (tmp_path / "sig.csv").read_bytes() == signal_bytes
 
 
 def test_sweep_from_file(tmp_path):

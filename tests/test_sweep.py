@@ -89,6 +89,8 @@ def test_sweep_spec_validation():
         small_spec(ratios=(0.0, 0.5))
     with pytest.raises(ValueError):
         small_spec(seeds=())
+    with pytest.raises(ValueError):
+        small_spec(seeds=(-1, 2))
 
 
 @pytest.mark.parametrize("overrides", [dict(ratios=(0.5, 0.5)), dict(seeds=(1, 1))])
