@@ -16,7 +16,8 @@ import numpy as np
 from .generators import gen_ecg_like, gen_pressure_like, gen_respiration_like
 from .signal import Signal1D, SignalFormatError, load_signal_csv, reshape_to_image, save_signal_csv
 from .solver import SolverConfig, SolverFailure, load_solver_config
-from .sweep import SweepSpec, mse, ratio_medians, recover_signal, run_sweep, write_report_csv, write_report_sidecar
+from .sweep import (SweepSpec, default_workers, mse, ratio_medians, recover_signal, run_sweep, write_report_csv,
+                    write_report_sidecar)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -73,7 +74,9 @@ def _build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep", parents=[solving], help="MSE versus sampling ratio over seeds")
     swp.add_argument("--ratios", required=True, help="comma-separated, e.g. 0.3,0.5,0.9")
     swp.add_argument("--seeds", required=True, help="comma-separated mask seeds")
-    swp.add_argument("--workers", type=int, default=1)
+    swp.add_argument("--workers", type=int, default=default_workers(),
+                     help="processes that solve rows, this one included (default here: %(default)s, the CPUs "
+                          "over OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS; 1 when neither is set)")
     swp.set_defaults(handler=_cmd_sweep)
     return parser
 
@@ -115,6 +118,11 @@ def _read_inputs(args: argparse.Namespace, *outputs: str | Path | None) -> tuple
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
     names = ("original.pgm", "reconstructed.pgm", "bounds.json")
     images = [Path(args.dump_images, name) for name in names] if args.dump_images else []
+    # checked before any file is read
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    if not 0.0 < args.ratio <= 1.0:
+        raise ValueError(f"--ratio must lie in (0, 1], got {args.ratio!r}")
     config, signal = _read_inputs(args, args.out, args.residual_log, *images)
     try:
         recovered, result = recover_signal(signal, args.ratio, args.seed, config)
@@ -153,7 +161,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     rows = run_sweep(spec, workers=args.workers)
     write_report_csv(rows, args.out)
-    write_report_sidecar(rows, spec, sidecar)
+    write_report_sidecar(rows, spec, sidecar, args.workers)
     for ratio, median in ratio_medians(rows):
         print(f"ratio={ratio:.2f} median_mse={median!r}")
     return EXIT_OK

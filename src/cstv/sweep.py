@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -113,26 +114,51 @@ def _run_row(signal: Signal1D, config: SolverConfig, ratio: float, seed: int) ->
     return SweepRow(ratio=ratio, seed=seed, wall_time=time.perf_counter() - start, **row)
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> tuple[SweepRow, ...]:
-    """Evaluate every (ratio, seed) pair on up to ``workers`` processes.
+def blas_thread_settings() -> dict[str, str | None]:
+    """This environment's BLAS thread counts, in the order OpenBLAS reads them."""
+    return {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
 
-    Rows come back sorted by (ratio, seed), so a parallel run produces the
-    same rows as a serial one (wall_time aside).
+
+def default_workers() -> int:
+    """The sweep processes that fit beside BLAS: the CPUs this process may
+    run on over the BLAS threads of each.  With no thread count set, or one
+    that is not a positive integer, BLAS threads over every CPU itself and
+    a sweep keeps to one process."""
+    setting = next((value for value in blas_thread_settings().values() if value is not None), "")
+    threads = int(setting) if setting.isdecimal() else 0
+    if threads < 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, cpus // threads)
+
+
+def run_sweep(spec: SweepSpec, workers: int = 1) -> tuple[SweepRow, ...]:
+    """Evaluate every (ratio, seed) pair on up to ``workers`` processes,
+    this one included.
+
+    With w processes this one solves grid rows 0, w, 2w, ... while a pool
+    of w - 1 processes maps the others; no more processes run than there
+    are rows.  Rows come back sorted by (ratio, seed), so a parallel run
+    produces the same rows as a serial one (wall_time aside).
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     ratios, seeds = zip(*itertools.product(sorted(spec.ratios), sorted(spec.seeds)))
     run_row = partial(_run_row, spec.signal, spec.solver)
-    # the pool starts all of its processes at once, so it gets no more
-    # than there are rows
-    pool_size = min(workers, len(ratios))
-    if pool_size > 1:
-        # imported here: loading it costs every other command start-up time
-        from concurrent.futures import ProcessPoolExecutor
+    workers = min(workers, len(ratios))
+    if workers == 1:
+        return tuple(map(run_row, ratios, seeds))
+    # imported here: loading it costs every other command start-up time
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            return tuple(pool.map(run_row, ratios, seeds))
-    return tuple(map(run_row, ratios, seeds))
+    pooled = [i for i in range(len(ratios)) if i % workers]
+    with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+        theirs = pool.map(run_row, [ratios[i] for i in pooled], [seeds[i] for i in pooled])
+        # row 0 holds the lowest ratio, which iterates unless every ratio is
+        # 1.0, so a tracer that records only this process sees the solver run
+        mine = list(map(run_row, ratios[::workers], seeds[::workers]))
+        rows = mine + list(theirs)
+    return tuple(sorted(rows, key=lambda row: (row.ratio, row.seed)))
 
 
 def ratio_medians(rows: tuple[SweepRow, ...], key: str = "mse") -> tuple[tuple[float, float], ...]:
@@ -155,9 +181,11 @@ def _finite_or_null(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def write_report_sidecar(rows: tuple[SweepRow, ...], spec: SweepSpec, path: str | Path) -> None:
+def write_report_sidecar(rows: tuple[SweepRow, ...], spec: SweepSpec, path: str | Path, workers: int = 1) -> None:
     """Provenance sidecar: spec, solver config, version, medians (also of
-    the zero-filled starts), per-row start MSE, final TV and wall time.
+    the zero-filled starts), per-row start MSE, final TV and wall time, the
+    processes that solved the rows (``workers``, capped as run_sweep caps
+    it) and the BLAS thread settings of this environment.
     A failed row's NaN, and any other value that is not finite, is written
     as null, so the file is strict JSON."""
     payload = {
@@ -172,5 +200,7 @@ def write_report_sidecar(rows: tuple[SweepRow, ...], spec: SweepSpec, path: str 
         "start_mse_rows": [_finite_or_null(r.start_mse) for r in rows],
         "final_tv_rows": [_finite_or_null(r.final_tv) for r in rows],
         "wall_time_rows": [r.wall_time for r in rows],
+        "workers": min(workers, len(rows)),
+        "blas_threads": blas_thread_settings(),
     }
     Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")

@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from cstv.generators import gen_ecg_like
 from cstv.signal import Signal1D, load_signal_csv, save_signal_csv
 from cstv.solver import SolverConfig, SolverFailure, load_solver_config
 from cstv.sweep import mse
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*args):
@@ -166,9 +170,45 @@ def test_sweep_parallel_serial_identical_bytes(tmp_path):
                   "--seed", "1")
     args = ["sweep", "--in", src, "--ratios", "0.5,1.0", "--seeds", "1,2"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run_cli(*args, "--out", str(a)) == EXIT_OK
+    assert run_cli(*args, "--workers", "1", "--out", str(a)) == EXIT_OK
     assert run_cli(*args, "--workers", "2", "--out", str(b)) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+    # the sidecars differ only in how the rows ran
+    serial, parallel = (json.loads(p.with_suffix(".json").read_text()) for p in (a, b))
+    assert (serial.pop("workers"), parallel.pop("workers")) == (1, 2)
+    del serial["wall_time_rows"], parallel["wall_time_rows"]
+    assert serial == parallel
+
+
+def test_sweep_sidecar_records_its_processes_and_blas_threads(tmp_path, monkeypatch):
+    src = gen_csv(tmp_path / "sig.csv", "--kind", "ecg", "--n", "64", "--fs", "64", "--seed", "0")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    out = tmp_path / "r.csv"
+    # one (ratio, seed) pair: a second process would have no row to solve
+    assert run_cli("sweep", "--in", src, "--ratios", "1.0", "--seeds", "1", "--workers", "4",
+                   "--out", str(out)) == EXIT_OK
+    sidecar = json.loads(out.with_suffix(".json").read_text())
+    assert sidecar["workers"] == 1
+    assert sidecar["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}
+
+
+def test_sweep_default_workers_write_the_serial_bytes(tmp_path):
+    # with one BLAS thread a process, the default runs a process per CPU
+    src = gen_csv(tmp_path / "sig.csv", "--kind", "ecg", "--n", "256", "--fs", "64", "--bpm", "60",
+                  "--seed", "1")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    env.pop("OMP_NUM_THREADS", None)
+    args = [sys.executable, "-m", "cstv.cli", "sweep", "--in", src, "--ratios", "0.5,1.0", "--seeds", "1,2"]
+    runs = {"default": (), "serial": ("--workers", "1")}
+    for name, extra in runs.items():
+        proc = subprocess.run([*args, *extra, "--out", str(tmp_path / f"{name}.csv")], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+    assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    used = json.loads((tmp_path / "default.json").read_text())["workers"]
+    assert used == min(len(os.sched_getaffinity(0)), 4)
 
 
 # a sweep reads its signal from --in only: --kind and the generator's flags
@@ -265,6 +305,17 @@ def test_usage_error_from_argparse_subprocess():
 def test_help_returns_ok(capsys):
     assert run_cli("--help") == EXIT_OK
     assert "usage: cstv" in capsys.readouterr().out
+
+
+# the missing --in would exit 3: exit 1 shows the flag was checked before any read
+@pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--ratio", "0"), ("--ratio", "1.5"), ("--ratio", "nan")])
+def test_reconstruct_checks_seed_and_ratio_before_reading(tmp_path, capsys, flag, value):
+    args = {"--ratio": "0.5", "--seed": "1", flag: value}
+    assert run_cli("reconstruct", "--in", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o.csv"),
+                   *(item for pair in args.items() for item in pair)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"cstv: invalid arguments: {flag} ") and value in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_io_error_exit_code(tmp_path):

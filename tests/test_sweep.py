@@ -11,8 +11,8 @@ from _oracles import constraint_gap, pipeline_measurements
 from cstv.generators import gen_ecg_like
 from cstv.signal import Signal1D
 from cstv.solver import SolverConfig, SolverFailure, tv
-from cstv.sweep import (SweepSpec, mse, ratio_medians, recover_signal, run_sweep, write_report_csv,
-                        write_report_sidecar)
+from cstv.sweep import (SweepSpec, default_workers, mse, ratio_medians, recover_signal, run_sweep,
+                        write_report_csv, write_report_sidecar)
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
 
@@ -100,9 +100,11 @@ def test_sweep_spec_rejects_duplicate_ratios_or_seeds(overrides):
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, starts no process."""
+    """Stands in for ProcessPoolExecutor: records its size and the (ratio,
+    seed) pairs it is given, starts no process."""
 
     sizes: list[int] = []
+    pairs: list[tuple[float, int]] = []
 
     def __init__(self, max_workers):
         RecordingPool.sizes.append(max_workers)
@@ -113,18 +115,60 @@ class RecordingPool:
     def __exit__(self, *exc_info):
         return False
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    def map(self, fn, ratios, seeds):
+        RecordingPool.pairs.extend(zip(ratios, seeds))
+        return map(fn, ratios, seeds)
 
 
-@pytest.mark.parametrize("workers,pool_sizes", [(1, []), (2, [2]), (64, [4])])
-def test_sweep_pool_is_capped_at_the_job_count(monkeypatch, workers, pool_sizes):
+@pytest.fixture
+def recording_pool(monkeypatch):
     monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(RecordingPool, "pairs", [])
     # run_sweep imports the pool class when it needs one, so it is patched at its source
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    return RecordingPool
+
+
+# workers counts the calling process, which solves rows itself
+@pytest.mark.parametrize("workers,pool_sizes", [(1, []), (2, [1]), (64, [3])])
+def test_sweep_pool_is_capped_at_the_job_count(recording_pool, workers, pool_sizes):
     rows = run_sweep(small_spec(), workers=workers)  # 2 ratios x 2 seeds = 4 jobs
-    assert RecordingPool.sizes == pool_sizes
+    assert recording_pool.sizes == pool_sizes
     assert len(rows) == 4
+
+
+def test_sweep_calling_process_solves_every_workers_th_row(recording_pool):
+    # grid rows 0..3 are (0.4, 1), (0.4, 2), (1.0, 1), (1.0, 2); with two
+    # processes this one solves rows 0 and 2, and the pool rows 1 and 3
+    rows = run_sweep(small_spec(), workers=2)
+    assert recording_pool.pairs == [(0.4, 2), (1.0, 2)]
+    assert [(r.ratio, r.seed) for r in rows] == [(0.4, 1), (0.4, 2), (1.0, 1), (1.0, 2)]
+
+
+@pytest.mark.parametrize("settings,cpus,workers", [
+    pytest.param({}, 2, 1, id="nothing-set"),
+    pytest.param({"OPENBLAS_NUM_THREADS": "1"}, 2, 2, id="openblas-1-on-2-cpus"),
+    pytest.param({"OMP_NUM_THREADS": "1"}, 2, 2, id="omp-1-alone"),
+    pytest.param({"OPENBLAS_NUM_THREADS": "2"}, 2, 1, id="openblas-2-on-2-cpus"),
+    pytest.param({"OPENBLAS_NUM_THREADS": "one"}, 2, 1, id="non-numeric"),
+    pytest.param({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2, id="openblas-read-first"),
+    pytest.param({"OMP_NUM_THREADS": "0"}, 2, 1, id="zero"),
+    pytest.param({"OPENBLAS_NUM_THREADS": "1"}, 8, 8, id="openblas-1-on-8-cpus"),
+])
+def test_default_workers_fit_beside_blas(monkeypatch, settings, cpus, workers):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in settings.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(sweep_mod.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert default_workers() == workers
+
+
+def test_default_workers_count_cpus_where_affinity_is_unknown(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delattr(sweep_mod.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 6)
+    assert default_workers() == 3
 
 
 def test_sweep_rows_are_sorted_and_complete():

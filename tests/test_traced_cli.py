@@ -23,6 +23,8 @@ BENCH = ROOT / "bench"
 
 @pytest.mark.parametrize("command", [
     ("sweep", "--ratios", "0.5,1.0", "--seeds", "1,2"),
+    # the tracer records this process only, which must still solve rows
+    ("sweep", "--ratios", "0.5,1.0", "--seeds", "1,2", "--workers", "2"),
     ("reconstruct", "--ratio", "0.5", "--seed", "1"),
 ])
 def test_traced_run_yields_every_per_layer_metric(tmp_path, command):
