@@ -16,8 +16,8 @@ import numpy as np
 from .generators import gen_ecg_like, gen_pressure_like, gen_respiration_like
 from .signal import Signal1D, SignalFormatError, load_signal_csv, reshape_to_image, save_signal_csv
 from .solver import SolverConfig, SolverFailure, load_solver_config
-from .sweep import (SweepSpec, default_workers, mse, ratio_medians, recover_signal, run_sweep, write_report_csv,
-                    write_report_sidecar)
+from .sweep import (SweepSpec, checked_grid, default_workers, mse, ratio_medians, recover_signal, run_sweep,
+                    write_report_csv, write_report_sidecar)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -150,15 +150,14 @@ def _parse_list(text: str, cast) -> tuple:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    # checked before any file is read
+    ratios, seeds = checked_grid(_parse_list(args.ratios, float), _parse_list(args.seeds, int),
+                                 names=("--ratios", "--seeds"))
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     sidecar = Path(args.out).with_suffix(".json")
     config, signal = _read_inputs(args, args.out, sidecar)
-    spec = SweepSpec(
-        signal=signal,
-        ratios=_parse_list(args.ratios, float),
-        seeds=_parse_list(args.seeds, int),
-        solver=config,
-        source=f"file:{args.infile}",
-    )
+    spec = SweepSpec(signal=signal, ratios=ratios, seeds=seeds, solver=config, source=f"file:{args.infile}")
     rows = run_sweep(spec, workers=args.workers)
     write_report_csv(rows, args.out)
     write_report_sidecar(rows, spec, sidecar, args.workers)

@@ -17,6 +17,9 @@ import numpy as np
 
 Array = np.ndarray
 
+CSV_WRITE_CHUNK = 8192
+"""Values a signal file is written in at a time."""
+
 
 class SignalFormatError(ValueError):
     """Raised when a signal file cannot be parsed into finite floats."""
@@ -86,7 +89,9 @@ def load_signal_csv(path: str | Path) -> Signal1D:
 
 def save_signal_csv(signal: Signal1D, path: str | Path) -> None:
     """Write one value per line with full float64 round-trip precision."""
-    # a generator, not one joined string: joining the lines of a 65 536-sample
-    # signal raised the peak memory of a reconstruct call by 3.5 MiB
+    # joined per chunk, not into one string: joining the lines of a
+    # 65 536-sample signal raised the peak memory of a reconstruct call by 3.5 MiB
+    values = signal.samples.tolist()
     with open(path, "w") as fh:
-        fh.writelines(f"{v!r}\n" for v in signal.samples.tolist())
+        for start in range(0, len(values), CSV_WRITE_CHUNK):
+            fh.write("\n".join(map(repr, values[start:start + CSV_WRITE_CHUNK])) + "\n")

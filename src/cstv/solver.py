@@ -171,7 +171,9 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None) -> Rec
 
     # the relaxed step reads d, and div(d) is kept so that an iteration takes
     # two divergences.  rhs holds div(b) - div(d) for the x-update; no step
-    # reads it after that, so mag shares its buffer.
+    # reads it after that, so mag shares its buffer.  work holds nothing
+    # between iterations and g is remade from x right after the x-update, so
+    # the DCT pair takes work and g[0] as its two scratch arrays.
     x = start / scale
     rhs = mag = np.zeros_like(x)
     div_d, spec, work = np.zeros_like(x), np.empty_like(x), np.empty_like(x)
@@ -179,10 +181,10 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None) -> Rec
     residuals: list[tuple[float, float, float, float]] = []
 
     for k in range(1, iters_used + 1):
-        _dct2(rhs, out=spec, work=work)
+        _dct2(rhs, out=spec, work=(work, g[0]))
         np.multiply(spec, weight, out=spec)
         np.add(spec, pinned, out=spec)
-        _idct2(spec, out=x, work=work)
+        _idct2(spec, out=x, work=(work, g[0]))
 
         # b becomes u = (b + (1 - RELAX) d) + RELAX grad x, and d is scratch
         # until it is remade; mag holds |u| per pixel, then the factor that

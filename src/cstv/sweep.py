@@ -61,6 +61,27 @@ def recover_signal(
     return Signal1D(flatten_to_signal(result.image, len(signal)) + mean), result
 
 
+def checked_grid(ratios, seeds, names=("ratios", "seeds")) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """A sweep's ratios as floats and seeds as ints.  Raises ValueError,
+    naming the list by ``names``, unless both lists are non-empty and
+    distinct, every ratio lies in (0, 1] and every seed is at least 0."""
+    ratios_name, seeds_name = names
+    if not ratios:
+        raise ValueError(f"{ratios_name} must be non-empty")
+    if any(not (0.0 < r <= 1.0) for r in ratios):
+        raise ValueError(f"{ratios_name} must lie in (0, 1], got {tuple(ratios)}")
+    # a mask seed below 0 would fail only inside its row, after the rows before it were solved
+    if not seeds or min(seeds) < 0:
+        raise ValueError(f"{seeds_name} must be non-empty and >= 0, got {tuple(seeds)}")
+    grid = tuple(float(r) for r in ratios), tuple(int(s) for s in seeds)
+    # a repeated value would re-solve the same (ratio, seed) pair and
+    # count it more than once in the ratio's median
+    for name, values in zip(names, grid):
+        if len(set(values)) != len(values):
+            raise ValueError(f"{name} must be distinct, got {values}")
+    return grid
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One experiment: a signal, a ratio grid, mask seeds, solver config."""
@@ -72,21 +93,9 @@ class SweepSpec:
     source: str = "unspecified"
 
     def __post_init__(self) -> None:
-        if not self.ratios:
-            raise ValueError("ratios must be non-empty")
-        if any(not (0.0 < r <= 1.0) for r in self.ratios):
-            raise ValueError("every ratio must lie in (0, 1]")
-        # a mask seed below 0 would fail only inside its row, after the rows before it were solved
-        if not self.seeds or min(self.seeds) < 0:
-            raise ValueError(f"seeds must be non-empty and >= 0, got {self.seeds}")
-        object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        # a repeated value would re-solve the same (ratio, seed) pair and
-        # count it more than once in the ratio's median
-        if len(set(self.ratios)) != len(self.ratios):
-            raise ValueError(f"ratios must be distinct, got {self.ratios}")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError(f"seeds must be distinct, got {self.seeds}")
+        ratios, seeds = checked_grid(self.ratios, self.seeds)
+        object.__setattr__(self, "ratios", ratios)
+        object.__setattr__(self, "seeds", seeds)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ def _image(side, rng):
 
 def test_criterion_1_transform_correctness():
     rng = np.random.default_rng(2024)
-    sides = [2, 3, 4, 8, 16, 64]
+    sides = [2, 3, 4, 8, 16, 64, 128, 256]
     worst_rt = 0.0
     count = 0
     for side in itertools.cycle(sides):

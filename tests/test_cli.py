@@ -318,6 +318,17 @@ def test_reconstruct_checks_seed_and_ratio_before_reading(tmp_path, capsys, flag
     assert list(tmp_path.iterdir()) == []
 
 
+# the missing --in would exit 3: exit 1 shows the flag was checked before any read
+@pytest.mark.parametrize("flag,value", [("--ratios", "1.5"), ("--ratios", "0"), ("--ratios", "0.5,0.5"),
+                                        ("--seeds", "-1"), ("--seeds", "2,2"), ("--workers", "0")])
+def test_sweep_checks_its_flags_before_reading(tmp_path, capsys, flag, value):
+    args = {"--ratios": "0.5", "--seeds": "1", "--workers": "1", flag: value}
+    assert run_cli("sweep", "--in", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "r.csv"),
+                   *(item for pair in args.items() for item in pair)) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"cstv: invalid arguments: {flag} ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_io_error_exit_code(tmp_path):
     assert run_cli("reconstruct", "--in", str(tmp_path / "missing.csv"), "--ratio", "0.5",
                    "--seed", "1", "--out", str(tmp_path / "o.csv")) == EXIT_IO

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cstv.signal import (
+    CSV_WRITE_CHUNK,
     Signal1D,
     SignalFormatError,
     flatten_to_signal,
@@ -135,3 +136,12 @@ def test_csv_save_load_roundtrip(tmp_path_factory, s):
     save_signal_csv(s, p)
     back = load_signal_csv(p)
     assert np.array_equal(back.samples, s.samples)
+
+
+def test_csv_save_writes_each_value_repr_across_chunks(tmp_path):
+    extremes = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+    samples = np.random.default_rng(0).normal(size=2 * CSV_WRITE_CHUNK + 3)
+    samples[CSV_WRITE_CHUNK - 2:CSV_WRITE_CHUNK + 3] = extremes
+    p = tmp_path / "s.csv"
+    save_signal_csv(Signal1D(samples), p)
+    assert p.read_text() == "".join(f"{v!r}\n" for v in samples.tolist())

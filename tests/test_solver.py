@@ -285,9 +285,9 @@ def test_solver_failure_carries_the_residual_rows(monkeypatch):
     assert np.isfinite(row[0]) and np.isinf(row[2])
 
 
-def ecg_measurements(ratio, seed, scale=1.0):
-    """A centred n=1000 ECG embedded at side 32, measured at (ratio, seed)."""
-    samples = gen_ecg_like(1000, bpm=60, fs=250, seed=3).samples * scale
+def ecg_measurements(ratio, seed, scale=1.0, n=1000):
+    """A centred ECG of n samples (side 32 at the default n), measured at (ratio, seed)."""
+    samples = gen_ecg_like(n, bpm=60, fs=250, seed=3).samples * scale
     img = reshape_to_image(samples - np.mean(samples))
     return measure(_dct2(img), draw_mask(img.shape[0], ratio, seed))
 
@@ -336,6 +336,17 @@ def test_result_equality_is_identity_and_hash_works():
 @pytest.mark.parametrize("ratio", [0.3, 0.9])
 def test_reconstruct_equals_allocating_reference_on_ecg(ratio):
     assert_matches_reference(ecg_measurements(ratio, seed=1), SolverConfig())
+
+
+def test_reconstruct_follows_allocating_reference_where_the_dct_splits():
+    # at side 128 the solver's DCT pair takes the even/odd split and the
+    # reference the dense product, so they agree to round-off, not bit for bit
+    meas = ecg_measurements(0.5, seed=1, n=16384)
+    assert meas.mask.side == 128
+    config = SolverConfig(max_iters=40, tol=1e-15)
+    got, want = reconstruct(meas, config), admm_reference(meas, config)
+    assert got.iters_used == want.iters_used == 40
+    assert np.max(np.abs(got.image - want.image)) <= 1e-9 * np.max(np.abs(want.image))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import naive_dct2, zigzag_by_hand
-from cstv.transform import _dct2, _idct2, zigzag_order
+from cstv.transform import _dct2, _dct_basis, _idct2, zigzag_order
 
 
 def random_image(side, seed):
@@ -35,13 +35,25 @@ def test_random_4x4_roundtrip_and_oracle():
     assert np.max(np.abs(back - img)) < 1e-12
 
 
-@pytest.mark.parametrize("side", [1, 3, 16])
+@pytest.mark.parametrize("side", [1, 3, 16, 128, 130])
 def test_out_forms_match_allocating_forms_on_dirty_buffers(side):
     x = np.random.default_rng(side).normal(size=(side, side))
+    # work is two side x side arrays, as one (2, side, side) array or a pair
     for fn in (_dct2, _idct2):
-        out, work = np.full((2, side, side), np.nan)
-        assert fn(x, out=out, work=work) is out
-        assert out.tobytes() == fn(x).tobytes()
+        for work in (np.full((2, side, side), np.nan), (np.full((side, side), np.nan), np.full((side, side), np.nan))):
+            out = np.full((side, side), np.nan)
+            assert fn(x, out=out, work=work) is out
+            assert out.tobytes() == fn(x).tobytes()
+
+
+@pytest.mark.parametrize("side", [126, 127, 128, 129, 130, 256])
+def test_agreement_with_dense_product_across_the_split_side(side):
+    # even sides from SPLIT_MIN_SIDE (128) up take the even/odd split, the
+    # others the dense product itself
+    x = random_image(side, seed=side)
+    c = _dct_basis(side)
+    assert np.max(np.abs(_dct2(x) - c @ x @ c.T)) <= 1e-12
+    assert np.max(np.abs(_idct2(x) - c.T @ x @ c)) <= 1e-12
 
 
 def test_dc_only_spectrum_inverts_to_constant():
