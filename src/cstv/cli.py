@@ -119,10 +119,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     names = ("original.pgm", "reconstructed.pgm", "bounds.json")
     images = [Path(args.dump_images, name) for name in names] if args.dump_images else []
     # checked before any file is read
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    if not 0.0 < args.ratio <= 1.0:
-        raise ValueError(f"--ratio must lie in (0, 1], got {args.ratio!r}")
+    checked_grid((args.ratio,), (args.seed,), names=("--ratio", "--seed"))
     config, signal = _read_inputs(args, args.out, args.residual_log, *images)
     try:
         recovered, result = recover_signal(signal, args.ratio, args.seed, config)

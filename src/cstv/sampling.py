@@ -64,10 +64,9 @@ class MeasurementSet:
     values: Array
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = np.array(self.values, dtype=np.float64)
         if vals.shape != self.mask.kept_ranks.shape:
             raise ValueError("values length must match the mask")
-        vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 

@@ -70,8 +70,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be > 0")
+        if not 0.0 < self.tol < math.inf:  # an infinite tol would pass at iteration 1
+            raise ValueError("tol must be finite and > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,21 +170,20 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None) -> Rec
     np.divide(pinned, scale, out=pinned)
 
     # the relaxed step reads d, and div(d) is kept so that an iteration takes
-    # two divergences.  rhs holds div(b) - div(d) for the x-update; no step
-    # reads it after that, so mag shares its buffer.  work holds nothing
-    # between iterations and g is remade from x right after the x-update, so
-    # the DCT pair takes work and g[0] as its two scratch arrays.
+    # two divergences.  rhs holds div(b) - div(d) for the x-update, which
+    # transforms it in place; no step reads it after that, so mag shares its
+    # buffer.  work holds nothing between iterations.
     x = start / scale
     rhs = mag = np.zeros_like(x)
-    div_d, spec, work = np.zeros_like(x), np.empty_like(x), np.empty_like(x)
+    div_d, work = np.zeros_like(x), np.empty_like(x)
     g, b, d = np.zeros((3, 2, side, side))
     residuals: list[tuple[float, float, float, float]] = []
 
     for k in range(1, iters_used + 1):
-        _dct2(rhs, out=spec, work=(work, g[0]))
-        np.multiply(spec, weight, out=spec)
-        np.add(spec, pinned, out=spec)
-        _idct2(spec, out=x, work=(work, g[0]))
+        _dct2(rhs, out=rhs, work=work)
+        np.multiply(rhs, weight, out=rhs)
+        np.add(rhs, pinned, out=rhs)
+        _idct2(rhs, out=x, work=work)
 
         # b becomes u = (b + (1 - RELAX) d) + RELAX grad x, and d is scratch
         # until it is remade; mag holds |u| per pixel, then the factor that
@@ -230,19 +229,22 @@ def load_solver_config(path: str | Path) -> SolverConfig:
 
     The recognized keys are the fields of :class:`SolverConfig`.
     """
-    entries: dict[str, str] = {}
+    # every field has a default (SolverConfig() is the default config), and
+    # the default's type is the field's type; an unknown key keeps its text
+    casts = {f.name: type(f.default) for f in fields(SolverConfig)}
+    entries = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        key, sep, value = line.partition("=")
+        key, sep, value = map(str.strip, line.partition("="))
         if not sep:
             raise ValueError(f"{path}: cannot parse config line {raw!r}")
-        entries[key.strip()] = value.strip()
-    # every field has a default (SolverConfig() is the default config), and
-    # the default's type is the field's type
-    casts = {f.name: type(f.default) for f in fields(SolverConfig)}
+        try:
+            entries[key] = casts.get(key, str)(value)
+        except ValueError:
+            raise ValueError(f"{path}: cannot parse {key} = {value!r}") from None
     unknown = set(entries) - set(casts)
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-    return SolverConfig(**{key: casts[key](value) for key, value in entries.items()})
+    return SolverConfig(**entries)

@@ -62,9 +62,10 @@ def recover_signal(
 
 
 def checked_grid(ratios, seeds, names=("ratios", "seeds")) -> tuple[tuple[float, ...], tuple[int, ...]]:
-    """A sweep's ratios as floats and seeds as ints.  Raises ValueError,
-    naming the list by ``names``, unless both lists are non-empty and
-    distinct, every ratio lies in (0, 1] and every seed is at least 0."""
+    """A sweep's ratios as floats and seeds as ints, each sorted, the order
+    of the sweep's rows.  Raises ValueError, naming the list by ``names``,
+    unless both lists are non-empty and distinct, every ratio lies in
+    (0, 1] and every seed is at least 0."""
     ratios_name, seeds_name = names
     if not ratios:
         raise ValueError(f"{ratios_name} must be non-empty")
@@ -73,7 +74,7 @@ def checked_grid(ratios, seeds, names=("ratios", "seeds")) -> tuple[tuple[float,
     # a mask seed below 0 would fail only inside its row, after the rows before it were solved
     if not seeds or min(seeds) < 0:
         raise ValueError(f"{seeds_name} must be non-empty and >= 0, got {tuple(seeds)}")
-    grid = tuple(float(r) for r in ratios), tuple(int(s) for s in seeds)
+    grid = tuple(sorted(map(float, ratios))), tuple(sorted(map(int, seeds)))
     # a repeated value would re-solve the same (ratio, seed) pair and
     # count it more than once in the ratio's median
     for name, values in zip(names, grid):
@@ -152,7 +153,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> tuple[SweepRow, ...]:
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    ratios, seeds = zip(*itertools.product(sorted(spec.ratios), sorted(spec.seeds)))
+    ratios, seeds = zip(*itertools.product(spec.ratios, spec.seeds))
     run_row = partial(_run_row, spec.signal, spec.solver)
     workers = min(workers, len(ratios))
     if workers == 1:

@@ -58,7 +58,8 @@ def _half_bases(n: int) -> tuple[Array, Array]:
 def _fold_pass(a: Array, fold: Array, out: Array) -> None:
     """out = C @ a.T.  Column i of a and its mirror n-1-i enter the even
     rows of the product as their sum and the odd rows as their difference;
-    fold is a (2, n, n/2) array that holds the two."""
+    fold is a (2, n, n/2) array that holds the two.  out may be a: all of
+    a is folded before out is written."""
     h = a.shape[0] // 2
     left, mirror = a[:, :h], a[:, ::-1][:, :h]
     np.add(left, mirror, out=fold[0])
@@ -70,7 +71,8 @@ def _fold_pass(a: Array, fold: Array, out: Array) -> None:
 def _unfold_pass(a: Array, fold: Array, out: Array) -> None:
     """out = a.T @ C, the inverse of :func:`_fold_pass`.  fold, a (2, n, n/2)
     array, receives the even and the odd rows' shares of out's left half:
-    their sum is that half, their difference its mirror image."""
+    their sum is that half, their difference its mirror image.  out may be
+    a: all of a is read into fold before out is written."""
     h = a.shape[0] // 2
     for parity, half in enumerate(_half_bases(2 * h)):
         np.matmul(a[parity::2].T, half, out=fold[parity])
@@ -79,36 +81,33 @@ def _unfold_pass(a: Array, fold: Array, out: Array) -> None:
 
 
 def _two_passes(one_pass, a: Array, out: Array | None, work: Array | None) -> Array:
-    """one_pass(one_pass(a)), through work[1]: C @ (C @ a.T).T = C @ a @ C.T
-    for :func:`_fold_pass`, and (a.T @ C).T @ C = C.T @ a @ C for its inverse."""
+    """one_pass(one_pass(a)), both in out, which may be a: C @ (C @ a.T).T
+    = C @ a @ C.T for :func:`_fold_pass`, and (a.T @ C).T @ C = C.T @ a @ C
+    for its inverse.  work, an n x n array or None, holds the folds."""
     n = a.shape[0]
     out = np.empty((n, n)) if out is None else out
-    work = np.empty((2, n, n)) if work is None else work
-    fold = work[0].reshape(2, n, n // 2)
-    one_pass(a, fold, work[1])
-    one_pass(work[1], fold, out)
+    fold = (np.empty((n, n)) if work is None else work).reshape(2, n, n // 2)
+    one_pass(a, fold, out)
+    one_pass(out, fold, out)
     return out
 
 
 def _dct2(x: Array, out: Array | None = None, work: Array | None = None) -> Array:
-    """C @ x @ C.T, written to out.  work, if given, holds two n x n scratch
-    arrays (a (2, n, n) array or a pair): the dense product keeps C @ x in
-    work[0], the split one its folds in work[0] and C @ x.T in work[1]."""
+    """C @ x @ C.T, written to out, which may be x.  work, an optional n x n
+    scratch array apart from x and out, holds C @ x or the split's folds."""
     n = x.shape[0]
     if n % 2 or n < SPLIT_MIN_SIDE:
-        c_x = np.matmul(_dct_basis(n), x, out=None if work is None else work[0])
-        return np.matmul(c_x, _dct_basis_t(n), out=out)
+        return np.matmul(np.matmul(_dct_basis(n), x, out=work), _dct_basis_t(n), out=out)
     return _two_passes(_fold_pass, x, out, work)
 
 
 def _idct2(y: Array, out: Array | None = None, work: Array | None = None) -> Array:
-    """C.T @ y @ C, written to out.  work, if given, holds two n x n scratch
-    arrays (a (2, n, n) array or a pair): the dense product keeps C.T @ y in
-    work[0], the split one its folds in work[0] and y.T @ C in work[1]."""
+    """C.T @ y @ C, written to out, which may be y.  work, an optional n x n
+    scratch array apart from y and out, holds C.T @ y or the split's folds."""
     n = y.shape[0]
     if n % 2 or n < SPLIT_MIN_SIDE:
         c = _dct_basis(n)
-        return np.matmul(np.matmul(c.T, y, out=None if work is None else work[0]), c, out=out)
+        return np.matmul(np.matmul(c.T, y, out=work), c, out=out)
     return _two_passes(_unfold_pass, y, out, work)
 
 

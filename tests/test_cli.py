@@ -116,6 +116,32 @@ def test_reconstruct_with_solver_config(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("text,message", [("tol = inf\n", "tol must be finite"),
+                                          ("tol = 1e400\n", "tol must be finite"),
+                                          ("max_iters = 1.5\n", "cannot parse max_iters = '1.5'")])
+def test_reconstruct_rejects_bad_config_values(tmp_path, capsys, text, message):
+    src = gen_csv(tmp_path / "in.csv", "--kind", "ecg", "--n", "256", "--fs", "64", "--bpm", "60", "--seed", "2")
+    cfg = tmp_path / "solver.txt"
+    cfg.write_text(text)
+    out = tmp_path / "out.csv"
+    assert run_cli("reconstruct", "--in", src, "--ratio", "0.4", "--seed", "0",
+                   "--solver", str(cfg), "--out", str(out)) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_orders_unsorted_flags_like_its_rows(tmp_path):
+    src = gen_csv(tmp_path / "sig.csv", "--kind", "ecg", "--n", "64", "--fs", "64", "--bpm", "60", "--seed", "1")
+    out = tmp_path / "report.csv"
+    assert run_cli("sweep", "--in", src, "--ratios", "0.9,0.3", "--seeds", "1,0", "--workers", "1",
+                   "--out", str(out)) == EXIT_OK
+    rows = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
+    assert rows == [["0.3", "0"], ["0.3", "1"], ["0.9", "0"], ["0.9", "1"]]
+    sidecar = json.loads((tmp_path / "report.json").read_text())
+    assert sidecar["ratios"] == [0.3, 0.9] and sidecar["seeds"] == [0, 1]
+    assert list(sidecar["median_mse"]) == ["0.3", "0.9"]
+
+
 def test_sweep_writes_csv_and_sidecar(tmp_path):
     src = gen_csv(tmp_path / "sig.csv", "--kind", "ecg", "--n", "256", "--fs", "64", "--bpm", "60",
                   "--seed", "1")

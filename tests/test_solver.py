@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,6 +154,8 @@ def test_solver_config_validation():
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
+    with pytest.raises(ValueError):
+        SolverConfig(tol=math.inf)
 
 
 def test_solver_config_file_json(tmp_path):
@@ -168,6 +172,16 @@ def test_solver_config_file_key_value(tmp_path):
     p.write_text("max_iters = 64\ntol = 1e-7  # relative\n# comment\n")
     cfg = load_solver_config(p)
     assert cfg.max_iters == 64 and cfg.tol == 1e-7
+
+
+@pytest.mark.parametrize("line,named", [("max_iters = 1.5\n", "max_iters = '1.5'"),
+                                        ("tol = small\n", "tol = 'small'")])
+def test_solver_config_file_names_file_and_key_of_unparsable_value(tmp_path, line, named):
+    p = tmp_path / "cfg.txt"
+    p.write_text(line)
+    with pytest.raises(ValueError) as info:
+        load_solver_config(p)
+    assert str(info.value) == f"{p}: cannot parse {named}"
 
 
 def test_solver_config_file_rejects_unknown_keys(tmp_path):

@@ -35,15 +35,18 @@ def test_random_4x4_roundtrip_and_oracle():
     assert np.max(np.abs(back - img)) < 1e-12
 
 
-@pytest.mark.parametrize("side", [1, 3, 16, 128, 130])
+@pytest.mark.parametrize("side", [1, 3, 16, 128, 130, 256])
 def test_out_forms_match_allocating_forms_on_dirty_buffers(side):
     x = np.random.default_rng(side).normal(size=(side, side))
-    # work is two side x side arrays, as one (2, side, side) array or a pair
+    # work is one side x side array; out is a separate array or x itself
     for fn in (_dct2, _idct2):
-        for work in (np.full((2, side, side), np.nan), (np.full((side, side), np.nan), np.full((side, side), np.nan))):
-            out = np.full((side, side), np.nan)
-            assert fn(x, out=out, work=work) is out
-            assert out.tobytes() == fn(x).tobytes()
+        expected = fn(x).tobytes()
+        out = np.full((side, side), np.nan)
+        assert fn(x, out=out, work=np.full((side, side), np.nan)) is out
+        assert out.tobytes() == expected
+        in_place = x.copy()
+        assert fn(in_place, out=in_place, work=np.full((side, side), np.nan)) is in_place
+        assert in_place.tobytes() == expected
 
 
 @pytest.mark.parametrize("side", [126, 127, 128, 129, 130, 256])
