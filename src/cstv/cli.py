@@ -16,7 +16,7 @@ import numpy as np
 from .generators import gen_ecg_like, gen_pressure_like, gen_respiration_like
 from .signal import Signal1D, SignalFormatError, load_signal_csv, reshape_to_image, save_signal_csv
 from .solver import SolverConfig, SolverFailure, load_solver_config
-from .sweep import (SweepSpec, checked_grid, default_workers, mse, ratio_medians, recover_signal, run_sweep,
+from .sweep import (SweepSpec, checked_grid, mse, ratio_medians, recover_signal, run_sweep, thread_budget,
                     write_report_csv, write_report_sidecar)
 
 EXIT_OK = 0
@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep", parents=[solving], help="MSE versus sampling ratio over seeds")
     swp.add_argument("--ratios", required=True, help="comma-separated, e.g. 0.3,0.5,0.9")
     swp.add_argument("--seeds", required=True, help="comma-separated mask seeds")
-    swp.add_argument("--workers", type=int, default=default_workers(),
+    swp.add_argument("--workers", type=int, default=thread_budget(),
                      help="processes that solve rows, this one included (default here: %(default)s, the CPUs "
                           "over OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS; 1 when neither is set)")
     swp.set_defaults(handler=_cmd_sweep)
@@ -122,7 +122,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     checked_grid((args.ratio,), (args.seed,), names=("--ratio", "--seed"))
     config, signal = _read_inputs(args, args.out, args.residual_log, *images)
     try:
-        recovered, result = recover_signal(signal, args.ratio, args.seed, config)
+        recovered, result = recover_signal(signal, args.ratio, args.seed, config, thread_budget())
     except SolverFailure as failure:
         _write_residual_log(args.residual_log, failure.residuals)
         raise

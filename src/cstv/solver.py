@@ -29,18 +29,31 @@ is the test passing, and the rows vary with amplitude only by round-off.
 No array is allocated after setup: every step writes into buffers made
 once per call, through the ``out=`` forms of the operators the tests
 check, and the norms are BLAS dot products over whole buffers.
+
+At even sides of THREAD_MIN_SIDE and up an iteration runs on two threads,
+the calling one included, when ``threads`` allows.  Each owns a block of
+image rows for the elementwise steps, grad and divergence, and one parity
+of spectrum rows for the DCT products, each of which it computes whole.
+The threads meet at a barrier only where a step reads rows that the other
+wrote: twice inside the inverse DCT and once inside the forward one, at
+the one-row halo of grad and of the divergences, and at each norm, which
+one thread takes over the whole buffer while the other waits.  So every
+value, the stop included, is the same to the byte on one thread or two;
+on one thread the same steps run over a single block.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .sampling import MeasurementSet
-from .transform import _dct2, _idct2
+from .transform import _alone, _dct2, _idct2, _spectrum_rows, _splits
 
 Array = np.ndarray
 
@@ -49,6 +62,11 @@ MU = 2.0
 
 RELAX = 1.4
 """Over-relaxation factor of the d-update (1 is plain split Bregman)."""
+
+THREAD_MIN_SIDE = 224
+"""The smallest side whose iterations run on more than one thread.  Odd
+sides run on one: their DCT products are dense, and one thread computes
+each whole, so a second thread would wait through most of the iteration."""
 
 
 class SolverFailure(RuntimeError):
@@ -89,43 +107,56 @@ class ReconstructionResult:
     test, in units of TV(start) / side^2."""
 
 
-def grad(x: Array, out: tuple[Array, Array] | None = None) -> tuple[Array, Array]:
+def grad(x: Array, out: tuple[Array, Array] | None = None, rows: slice = slice(None)) -> tuple[Array, Array]:
     """Per-pixel forward differences down rows (gx) and across columns (gy).
 
     Zero on the trailing boundary: the last row of gx and the last column
     of gy.  ``out`` is an optional C-contiguous (gx, gy) pair to write,
-    distinct from x.
+    distinct from x.  Only the block ``rows`` of gx and gy is written; it
+    reads the same rows of x and the row below them.
     """
     gx, gy = (np.empty_like(x, order="C"), np.empty_like(x, order="C")) if out is None else out
     if not gy.flags.c_contiguous:
         raise ValueError("gy must be C-contiguous")
-    np.subtract(x[1:, :], x[:-1, :], out=gx[:-1, :])
+    top, end, _ = rows.indices(x.shape[0])
+    last = min(end, x.shape[0] - 1)
+    np.subtract(x[top + 1:last + 1], x[top:last], out=gx[top:last])
+    gx[last:end] = 0.0
     # one pass over the flattened rows; the differences that wrap from the
     # end of one row to the start of the next land in the zeroed last column
+    width = x.shape[1]
     flat = x.ravel()
-    np.subtract(flat[1:], flat[:-1], out=gy.reshape(-1)[:-1])
-    gx[-1, :] = 0.0
-    gy[:, -1] = 0.0
+    np.subtract(flat[top * width + 1:end * width], flat[top * width:end * width - 1],
+                out=gy.reshape(-1)[top * width:end * width - 1])
+    gy[top:end, -1] = 0.0
     return gx, gy
 
 
-def divergence(gx: Array, gy: Array, out: Array | None = None) -> Array:
+def divergence(gx: Array, gy: Array, out: Array | None = None, rows: slice = slice(None)) -> Array:
     """Negative adjoint of :func:`grad`:  <grad X, P> == -<X, divergence(P)>
     for fields P that are zero on the trailing boundary.  ``out`` is an
-    optional C-contiguous array to write, distinct from gx and gy."""
+    optional C-contiguous array to write, distinct from gx and gy.  Only
+    the block ``rows`` of out is written; it reads the same rows of gx and
+    gy and the row of gx above them."""
     div = np.empty(gx.shape) if out is None else out
     if not div.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
-    np.copyto(div, gx)
-    div[1:, :] -= gx[:-1, :]
-    div += gy
+    top, end, _ = rows.indices(gx.shape[0])
+    below = max(top, 1)  # the first row with a row above it
+    block = div[top:end]
+    np.copyto(block, gx[top:end])
+    div[below:end] -= gx[below - 1:end - 1]
+    block += gy[top:end]
     # one pass over the flattened rows; the differences that wrap from the
     # end of one row to the start of the next land in column 0, remade here
+    width = gx.shape[1]
     flat = div.reshape(-1)
-    np.subtract(flat[1:], gy.ravel()[:-1], out=flat[1:])
-    np.subtract(gx[1:, 0], gx[:-1, 0], out=div[1:, 0])
-    div[0, 0] = gx[0, 0]
-    div[:, 0] += gy[:, 0]
+    np.subtract(flat[top * width + 1:end * width], gy.ravel()[top * width:end * width - 1],
+                out=flat[top * width + 1:end * width])
+    np.subtract(gx[below:end, 0], gx[below - 1:end - 1, 0], out=div[below:end, 0])
+    if top == 0:
+        div[0, 0] = gx[0, 0]
+    block[:, 0] += gy[top:end, 0]
     return div
 
 
@@ -142,17 +173,77 @@ def tv(x: Array) -> float:
         return math.inf
 
 
-def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None) -> ReconstructionResult:
+def _norm(a: Array) -> float:
+    """np.linalg.norm without its checks: one BLAS dot product over the whole buffer."""
+    return math.sqrt(np.vdot(a, a))
+
+
+def _on_threads(side: int, threads: int, body) -> None:
+    """Run body(rows, sync) on ``threads`` threads, this one included, each
+    with its own block of rows of a side x side image.  sync(action) waits
+    until every thread has called it, then runs action, if any, on one of
+    them before any goes on; on one thread it runs action at once.
+
+    The other threads start here, run in copies of this thread's context
+    (numpy's error state is part of it) and are joined before this returns.
+    An exception in any thread breaks the barrier, so that no thread waits
+    for ever, and is raised here."""
+    if threads == 1:
+        body(slice(0, side), _alone)
+        return
+    pending = [None]
+
+    def run_pending() -> None:
+        action, pending[0] = pending[0], None
+        _alone(action)
+
+    barrier = threading.Barrier(threads, action=run_pending)
+
+    def sync(action=None) -> None:
+        pending[0] = action  # every thread passes the same action
+        barrier.wait()
+
+    errors: list[BaseException] = []
+
+    def run(block: int) -> None:
+        try:
+            body(slice(side * block // threads, side * (block + 1) // threads), sync)
+        except BaseException as exc:  # a KeyboardInterrupt too must free the others
+            errors.append(exc)
+            barrier.abort()
+
+    workers = [threading.Thread(target=contextvars.copy_context().run, args=(run, block))
+               for block in range(1, threads)]
+    try:
+        for worker in workers:
+            worker.start()
+        run(0)
+    except BaseException:  # a worker that failed to start leaves the others waiting
+        barrier.abort()
+        raise
+    finally:
+        for worker in workers:
+            if worker.ident is not None:
+                worker.join()
+    if errors:
+        # the threads that a failure left waiting raise BrokenBarrierError
+        raise next((exc for exc in errors if not isinstance(exc, threading.BrokenBarrierError)), errors[0])
+
+
+def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None, threads: int = 1) -> ReconstructionResult:
     """Recover an image from a measurement set by constrained TV minimization.
 
     Starts from the zero-filled spectrum (feasible by construction).  Raises
     :class:`SolverFailure` when TV of the start (as iteration 1) or a norm
-    of the stopping test is not finite.
+    of the stopping test is not finite.  The iterations run on up to
+    ``threads`` threads, but on at most two, this one included, and on one
+    below THREAD_MIN_SIDE or at an odd side; the result is the same to the
+    byte on any number.
     """
     config = config or SolverConfig()
-    side, rows, cols = meas.mask.side, meas.mask.rows, meas.mask.cols
+    side, kept = meas.mask.side, (meas.mask.rows, meas.mask.cols)
     pinned = np.zeros((side, side))
-    pinned[rows, cols] = meas.values
+    pinned[kept] = meas.values
     start = _idct2(pinned)
     start_tv = tv(start)
     if not math.isfinite(start_tv):
@@ -161,66 +252,93 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None) -> Rec
     # 1 / lambda_kl on the free coefficients; 0 at DC, where lambda is 0
     weight = np.add.outer(a, a)
     np.divide(1.0, weight, out=weight, where=weight > 0.0)
-    weight[rows, cols] = 0.0
+    weight[kept] = 0.0
     # a start without variation is optimal, and one without a free
     # coefficient cannot move: it is returned as it is, and no iteration runs
     converged = start_tv == 0.0 or not weight.any()
-    iters_used = 0 if converged else config.max_iters
     scale = 1.0 if converged else (start_tv / (side * side) or 1.0)
     np.divide(pinned, scale, out=pinned)
 
     # the relaxed step reads d, and div(d) is kept so that an iteration takes
-    # two divergences.  rhs holds div(b) - div(d) for the x-update, which
-    # transforms it in place; no step reads it after that, so mag shares its
-    # buffer.  work holds nothing between iterations.
+    # two divergences.  g[1] holds div(b) - div(d) for the x-update, which
+    # transforms it in place with mag, work and g[0] as scratch; work holds
+    # nothing between iterations.
     x = start / scale
-    rhs = mag = np.zeros_like(x)
-    div_d, work = np.zeros_like(x), np.empty_like(x)
+    buffers = np.zeros_like(x), np.empty_like(x)
+    mag = np.empty_like(x)
     g, b, d = np.zeros((3, 2, side, side))
+    rhs = g[1]
     residuals: list[tuple[float, float, float, float]] = []
+    norms: dict[str, float] = {}
+    stop: list[int] = []
 
-    for k in range(1, iters_used + 1):
-        _dct2(rhs, out=rhs, work=work)
-        np.multiply(rhs, weight, out=rhs)
-        np.add(rhs, pinned, out=rhs)
-        _idct2(rhs, out=x, work=work)
+    def iterate(rows: slice, sync) -> None:
+        """The iterations on the block ``rows``, and on the spectrum rows of
+        its DCT products.  sync() waits for the other blocks where a stage
+        reads what they write, and each norm runs on one thread, over the
+        whole buffer, while the others wait."""
+        div_d, work = buffers
+        spectral = [(rhs[part], weight[part], pinned[part]) for part in _spectrum_rows(side, rows)]
+        gb, bb, db, magb, g0b, rhsb = g[:, rows], b[:, rows], d[:, rows], mag[rows], g[0, rows], rhs[rows]
+        g0 = g[0]
 
-        # b becomes u = (b + (1 - RELAX) d) + RELAX grad x, and d is scratch
-        # until it is remade; mag holds |u| per pixel, then the factor that
-        # shrinks u to d.  sqrt(vdot) is np.linalg.norm without its checks.
-        grad(x, out=(g[0], g[1]))
-        grad_norm = math.sqrt(np.vdot(g, g))
-        np.add(b, np.multiply(d, 1.0 - RELAX, out=d), out=b)
-        np.add(b, np.multiply(g, RELAX, out=d), out=b)
-        np.multiply(b, b, out=d)
-        np.add(d[0], d[1], out=mag)
-        np.sqrt(mag, out=mag)
-        np.maximum(np.subtract(mag, 1.0 / MU, out=work), 0.0, out=work)
-        d_norm = math.sqrt(np.vdot(work, work))
-        np.divide(work, np.maximum(mag, 1.0 / MU, out=mag), out=mag)
-        np.multiply(b, mag, out=d)
-        np.subtract(g, d, out=g)
-        primal = math.sqrt(np.vdot(g, g))
-        np.subtract(b, d, out=b)
-        new_div_d = divergence(d[0], d[1], out=work)
-        np.subtract(new_div_d, div_d, out=mag)
-        dual = MU * math.sqrt(np.vdot(mag, mag))
-        div_d, work = new_div_d, div_d
-        div_b = divergence(b[0], b[1], out=mag)
-        dual_scale = MU * math.sqrt(np.vdot(div_b, div_b))
-        np.subtract(div_b, div_d, out=rhs)
+        def norms_of_grad_and_shrink() -> None:
+            norms.update(grad=_norm(g), shrunk=_norm(work))
 
-        primal_scale = max(grad_norm, d_norm)
-        norms = (primal, primal_scale, dual, dual_scale)
-        residuals.append(norms)
-        if not all(map(math.isfinite, norms)):
-            raise SolverFailure(k, tuple(residuals))
-        if primal <= config.tol * primal_scale and dual <= config.tol * dual_scale:
-            iters_used, converged = k, True
-            break
+        def primal_norm() -> None:
+            norms.update(primal=_norm(g))
 
+        def certify() -> None:
+            # g[0] holds div(d) - div(d_prev), the dual residual over MU
+            row = (norms["primal"], max(norms["grad"], norms["shrunk"]), MU * _norm(g0), MU * _norm(div_b))
+            residuals.append(row)
+            if not all(map(math.isfinite, row)):
+                raise SolverFailure(len(residuals), tuple(residuals))
+            if row[0] <= config.tol * row[1] and row[2] <= config.tol * row[3]:
+                stop.append(len(residuals))
+
+        for _ in range(config.max_iters):
+            _dct2(rhs, out=rhs, work=(mag, work, g0), rows=rows, sync=sync)
+            for part, weight_part, pinned_part in spectral:
+                np.multiply(part, weight_part, out=part)
+                np.add(part, pinned_part, out=part)
+            _idct2(rhs, out=x, work=(mag, work, g0), rows=rows, sync=sync)
+
+            # b becomes u = (b + (1 - RELAX) d) + RELAX grad x, and d is scratch
+            # until it is remade; mag holds |u| per pixel, then the factor that
+            # shrinks u to d.  grad reads the row below the block.
+            sync()
+            grad(x, out=(g[0], g[1]), rows=rows)
+            np.add(bb, np.multiply(db, 1.0 - RELAX, out=db), out=bb)
+            np.add(bb, np.multiply(gb, RELAX, out=db), out=bb)
+            np.multiply(bb, bb, out=db)
+            np.add(db[0], db[1], out=magb)
+            np.sqrt(magb, out=magb)
+            workb = work[rows]
+            np.maximum(np.subtract(magb, 1.0 / MU, out=workb), 0.0, out=workb)
+            sync(norms_of_grad_and_shrink)
+            np.divide(workb, np.maximum(magb, 1.0 / MU, out=magb), out=magb)
+            np.multiply(bb, magb, out=db)
+            np.subtract(gb, db, out=gb)
+            np.subtract(bb, db, out=bb)
+            # the divergences read the row above the block
+            sync(primal_norm)
+            new_div_d = divergence(d[0], d[1], out=work, rows=rows)
+            np.subtract(new_div_d[rows], div_d[rows], out=g0b)
+            div_d, work = new_div_d, div_d
+            div_b = divergence(b[0], b[1], out=mag, rows=rows)
+            np.subtract(div_b[rows], div_d[rows], out=rhsb)
+            sync(certify)
+            if stop:
+                break
+
+    if not converged:
+        # the DCT products split two ways, by the parity of their rows, and
+        # odd sides take the dense products, which run whole on one thread
+        _on_threads(side, min(threads, 2) if side >= THREAD_MIN_SIDE and _splits(side) else 1, iterate)
     np.multiply(x, scale, out=x)
-    return ReconstructionResult(image=x, iters_used=iters_used, final_tv=tv(x), converged=converged,
+    iters_used = 0 if converged else (stop or [config.max_iters])[0]
+    return ReconstructionResult(image=x, iters_used=iters_used, final_tv=tv(x), converged=converged or bool(stop),
                                 start=start, residuals=tuple(residuals))
 
 

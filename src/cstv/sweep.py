@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -48,16 +49,18 @@ def recover_signal(
     ratio: float,
     seed: int,
     config: SolverConfig | None = None,
+    threads: int = 1,
 ) -> tuple[Signal1D, ReconstructionResult]:
-    """Run the full reshape / sample / solve / flatten pipeline once.  Samples
-    near the float maximum whose mean, centring or kept DCT coefficients
-    overflow make the start's TV non-finite, so the solve fails at iteration
-    1; the overflow raises no warning, the :class:`SolverFailure` reports it."""
+    """Run the full reshape / sample / solve / flatten pipeline once, the
+    solve on up to ``threads`` threads.  Samples near the float maximum
+    whose mean, centring or kept DCT coefficients overflow make the start's
+    TV non-finite, so the solve fails at iteration 1; the overflow raises no
+    warning, on any thread, the :class:`SolverFailure` reports it."""
     mean = np.mean(signal.samples)
     image = reshape_to_image(signal.samples - mean)
     mask = draw_mask(image.shape[0], ratio, seed)
     meas = measure(_dct2(image), mask)
-    result = reconstruct(meas, config)
+    result = reconstruct(meas, config, threads)
     return Signal1D(flatten_to_signal(result.image, len(signal)) + mean), result
 
 
@@ -112,10 +115,10 @@ class SweepRow:
     final_tv: float = float("nan")
 
 
-def _run_row(signal: Signal1D, config: SolverConfig, ratio: float, seed: int) -> SweepRow:
+def _run_row(signal: Signal1D, config: SolverConfig, threads: int, ratio: float, seed: int) -> SweepRow:
     start = time.perf_counter()
     try:
-        recovered, result = recover_signal(signal, ratio, seed, config)
+        recovered, result = recover_signal(signal, ratio, seed, config, threads)
         start_signal = Signal1D(flatten_to_signal(result.start, len(signal)) + np.mean(signal.samples))
         row = dict(mse=mse(signal, recovered), iters_used=result.iters_used, converged=result.converged,
                    start_mse=mse(signal, start_signal), final_tv=result.final_tv)
@@ -129,11 +132,12 @@ def blas_thread_settings() -> dict[str, str | None]:
     return {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
 
 
-def default_workers() -> int:
-    """The sweep processes that fit beside BLAS: the CPUs this process may
-    run on over the BLAS threads of each.  With no thread count set, or one
-    that is not a positive integer, BLAS threads over every CPU itself and
-    a sweep keeps to one process."""
+def thread_budget() -> int:
+    """The threads that fit beside BLAS, whether they are the processes of
+    a sweep or the threads of one solve: the CPUs this process may run on
+    over the BLAS threads of each.  With no thread count set, or one that
+    is not a positive integer, BLAS threads over every CPU itself and the
+    budget is 1."""
     setting = next((value for value in blas_thread_settings().values() if value is not None), "")
     threads = int(setting) if setting.isdecimal() else 0
     if threads < 1:
@@ -142,9 +146,15 @@ def default_workers() -> int:
     return max(1, cpus // threads)
 
 
+def solve_threads(workers: int) -> int:
+    """The threads each solve of a sweep on ``workers`` processes may use:
+    its share of the :func:`thread_budget`, and at least one."""
+    return max(1, thread_budget() // workers)
+
+
 def run_sweep(spec: SweepSpec, workers: int = 1) -> tuple[SweepRow, ...]:
     """Evaluate every (ratio, seed) pair on up to ``workers`` processes,
-    this one included.
+    this one included, each solve on up to :func:`solve_threads` threads.
 
     With w processes this one solves grid rows 0, w, 2w, ... while a pool
     of w - 1 processes maps the others; no more processes run than there
@@ -154,8 +164,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> tuple[SweepRow, ...]:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     ratios, seeds = zip(*itertools.product(spec.ratios, spec.seeds))
-    run_row = partial(_run_row, spec.signal, spec.solver)
     workers = min(workers, len(ratios))
+    run_row = partial(_run_row, spec.signal, spec.solver, solve_threads(workers))
     if workers == 1:
         return tuple(map(run_row, ratios, seeds))
     # imported here: loading it costs every other command start-up time
@@ -191,11 +201,22 @@ def _finite_or_null(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
+def environment() -> dict:
+    """The Python, numpy and BLAS versions this process runs."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.25 only prints its config
+        blas = {}
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")}}
+
+
 def write_report_sidecar(rows: tuple[SweepRow, ...], spec: SweepSpec, path: str | Path, workers: int = 1) -> None:
     """Provenance sidecar: spec, solver config, version, medians (also of
     the zero-filled starts), per-row start MSE, final TV and wall time, the
     processes that solved the rows (``workers``, capped as run_sweep caps
-    it) and the BLAS thread settings of this environment.
+    it), the threads each solve could use (``solve_threads``), the BLAS
+    thread settings and the versions (``env``) of this environment.
     A failed row's NaN, and any other value that is not finite, is written
     as null, so the file is strict JSON."""
     payload = {
@@ -211,6 +232,8 @@ def write_report_sidecar(rows: tuple[SweepRow, ...], spec: SweepSpec, path: str 
         "final_tv_rows": [_finite_or_null(r.final_tv) for r in rows],
         "wall_time_rows": [r.wall_time for r in rows],
         "workers": min(workers, len(rows)),
+        "solve_threads": solve_threads(min(workers, len(rows))),
         "blas_threads": blas_thread_settings(),
+        "env": environment(),
     }
     Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")

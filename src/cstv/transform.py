@@ -55,60 +55,107 @@ def _half_bases(n: int) -> tuple[Array, Array]:
     return halves
 
 
-def _fold_pass(a: Array, fold: Array, out: Array) -> None:
-    """out = C @ a.T.  Column i of a and its mirror n-1-i enter the even
-    rows of the product as their sum and the odd rows as their difference;
-    fold is a (2, n, n/2) array that holds the two.  out may be a: all of
-    a is folded before out is written."""
-    h = a.shape[0] // 2
-    left, mirror = a[:, :h], a[:, ::-1][:, :h]
-    np.add(left, mirror, out=fold[0])
-    np.subtract(left, mirror, out=fold[1])
-    for parity, half in enumerate(_half_bases(2 * h)):
-        np.matmul(half, fold[parity].T, out=out[parity::2])
+def _splits(n: int) -> bool:
+    """Whether the transforms of side n take the even/odd split."""
+    return n % 2 == 0 and n >= SPLIT_MIN_SIDE
 
 
-def _unfold_pass(a: Array, fold: Array, out: Array) -> None:
-    """out = a.T @ C, the inverse of :func:`_fold_pass`.  fold, a (2, n, n/2)
-    array, receives the even and the odd rows' shares of out's left half:
-    their sum is that half, their difference its mirror image.  out may be
-    a: all of a is read into fold before out is written."""
-    h = a.shape[0] // 2
-    for parity, half in enumerate(_half_bases(2 * h)):
-        np.matmul(a[parity::2].T, half, out=fold[parity])
-    np.add(fold[0], fold[1], out=out[:, :h])
-    np.subtract(fold[0], fold[1], out=out[:, ::-1][:, :h])
+def _alone(action=None) -> None:
+    """The sync of a thread that works alone: it runs action, if any, at once."""
+    if action is not None:
+        action()
 
 
-def _two_passes(one_pass, a: Array, out: Array | None, work: Array | None) -> Array:
-    """one_pass(one_pass(a)), both in out, which may be a: C @ (C @ a.T).T
-    = C @ a @ C.T for :func:`_fold_pass`, and (a.T @ C).T @ C = C.T @ a @ C
-    for its inverse.  work, an n x n array or None, holds the folds."""
+def _parities(n: int, rows: slice) -> tuple[int, ...]:
+    """The parities of the spectrum rows whose products the thread with the
+    block ``rows`` computes: 0 if the block holds row 0, 1 if it holds row
+    n // 2.  Each product is computed whole, by one thread, so the bytes do
+    not depend on the number of threads."""
+    top, end, _ = rows.indices(n)
+    return tuple(parity for parity in (0, 1) if top <= parity * (n // 2) < end)
+
+
+def _spectrum_rows(n: int, rows: slice) -> tuple[slice, ...]:
+    """The rows of the spectrum that :func:`_dct2` writes and :func:`_idct2`
+    reads first on the thread with the block ``rows``."""
+    parities = _parities(n, rows)
+    return (slice(None),) if len(parities) == 2 else tuple(slice(parity, None, 2) for parity in parities)
+
+
+def _fold_pass(a: Array, fold: Array, out: Array, rows: slice) -> None:
+    """out = C @ a.T, in the rows of out of the parities of the block
+    ``rows``.  Column i of a and its mirror n-1-i enter the even rows of the
+    product as their sum and the odd rows as their difference; fold is a
+    (2, n, n/2) array that holds the two.  All of a is read."""
     n = a.shape[0]
+    h = n // 2
+    left, mirror = a[:, :h], a[:, ::-1][:, :h]
+    for parity in _parities(n, rows):
+        (np.add, np.subtract)[parity](left, mirror, out=fold[parity])
+        np.matmul(_half_bases(n)[parity], fold[parity].T, out=out[parity::2])
+
+
+def _unfold_pass(a: Array, fold: Array, out: Array, rows: slice, out_rows: tuple[slice, ...], sync) -> None:
+    """out = a.T @ C, the inverse of :func:`_fold_pass`, in the rows
+    ``out_rows`` of out.  fold, a (2, n, n/2) array, receives the even and
+    the odd rows' shares of out's left half, each from the rows of a of a
+    parity of the block ``rows``, and sync() waits for both: their sum is
+    that half, their difference its mirror image."""
+    n = a.shape[0]
+    h = n // 2
+    for parity in _parities(n, rows):
+        np.matmul(a[parity::2].T, _half_bases(n)[parity], out=fold[parity])
+    sync()
+    for part in out_rows:
+        np.add(fold[0, part], fold[1, part], out=out[part, :h])
+        np.subtract(fold[0, part], fold[1, part], out=out[part, ::-1][:, :h])
+
+
+def _dct2(x: Array, out: Array | None = None, work=None, rows: slice = slice(None), sync=_alone) -> Array:
+    """C @ x @ C.T, written to out, which may be x.  work, an optional
+    sequence of three n x n scratch arrays apart from x and out (or one
+    (3, n, n) array), holds C @ x, or the split's folds and first pass.
+
+    Where the transform splits (:func:`_splits`), threads that share x, out
+    and work may each call this with their own block ``rows`` of range(n),
+    once all of x is written, and a ``sync()`` that waits for all of them;
+    a thread writes the rows of out that :func:`_spectrum_rows` gives.  The
+    dense product runs on one thread."""
+    n = x.shape[0]
+    if not _splits(n):
+        fold = None if work is None else work[0]
+        return np.matmul(np.matmul(_dct_basis(n), x, out=fold), _dct_basis_t(n), out=out)
     out = np.empty((n, n)) if out is None else out
-    fold = (np.empty((n, n)) if work is None else work).reshape(2, n, n // 2)
-    one_pass(a, fold, out)
-    one_pass(out, fold, out)
+    fold, between = np.empty((2, n, n)) if work is None else work[:2]
+    # the first pass reads all of x, so the second may overwrite it
+    fold = fold.reshape(2, n, n // 2)
+    _fold_pass(x, fold, between, rows)
+    sync()
+    _fold_pass(between, fold, out, rows)
     return out
 
 
-def _dct2(x: Array, out: Array | None = None, work: Array | None = None) -> Array:
-    """C @ x @ C.T, written to out, which may be x.  work, an optional n x n
-    scratch array apart from x and out, holds C @ x or the split's folds."""
-    n = x.shape[0]
-    if n % 2 or n < SPLIT_MIN_SIDE:
-        return np.matmul(np.matmul(_dct_basis(n), x, out=work), _dct_basis_t(n), out=out)
-    return _two_passes(_fold_pass, x, out, work)
+def _idct2(y: Array, out: Array | None = None, work=None, rows: slice = slice(None), sync=_alone) -> Array:
+    """C.T @ y @ C, written to out, which may be y.  work, an optional
+    sequence of three n x n scratch arrays apart from y and out (or one
+    (3, n, n) array), holds C.T @ y, or the split's folds and first pass.
 
-
-def _idct2(y: Array, out: Array | None = None, work: Array | None = None) -> Array:
-    """C.T @ y @ C, written to out, which may be y.  work, an optional n x n
-    scratch array apart from y and out, holds C.T @ y or the split's folds."""
+    Threads call it as they call :func:`_dct2`, except that a thread needs
+    only the rows of y that :func:`_spectrum_rows` gives to be written,
+    and writes the rows ``rows`` of out."""
     n = y.shape[0]
-    if n % 2 or n < SPLIT_MIN_SIDE:
+    if not _splits(n):
         c = _dct_basis(n)
-        return np.matmul(np.matmul(c.T, y, out=work), c, out=out)
-    return _two_passes(_unfold_pass, y, out, work)
+        return np.matmul(np.matmul(c.T, y, out=None if work is None else work[0]), c, out=out)
+    out = np.empty((n, n)) if out is None else out
+    fold, between, second_fold = np.empty((3, n, n)) if work is None else work
+    # a thread makes the rows of the first pass that its products in the
+    # second read, and those write their own folds, so no sync lies between
+    # the passes; all of y is read before the first pass's sync
+    spectral = _spectrum_rows(n, rows)
+    _unfold_pass(y, fold.reshape(2, n, n // 2), between, rows, spectral, sync)
+    _unfold_pass(between, second_fold.reshape(2, n, n // 2), out, rows, (rows,), sync)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -191,7 +191,8 @@ def test_sweep_bad_workers_or_repeated_values_are_usage_errors(tmp_path, ratios,
     assert not out.exists()
 
 
-def test_sweep_parallel_serial_identical_bytes(tmp_path):
+def test_sweep_parallel_serial_identical_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr("cstv.sweep.thread_budget", lambda: 2)
     src = gen_csv(tmp_path / "sig.csv", "--kind", "ecg", "--n", "256", "--fs", "64", "--bpm", "60",
                   "--seed", "1")
     args = ["sweep", "--in", src, "--ratios", "0.5,1.0", "--seeds", "1,2"]
@@ -202,6 +203,7 @@ def test_sweep_parallel_serial_identical_bytes(tmp_path):
     # the sidecars differ only in how the rows ran
     serial, parallel = (json.loads(p.with_suffix(".json").read_text()) for p in (a, b))
     assert (serial.pop("workers"), parallel.pop("workers")) == (1, 2)
+    assert (serial.pop("solve_threads"), parallel.pop("solve_threads")) == (2, 1)
     del serial["wall_time_rows"], parallel["wall_time_rows"]
     assert serial == parallel
 
@@ -217,6 +219,9 @@ def test_sweep_sidecar_records_its_processes_and_blas_threads(tmp_path, monkeypa
     sidecar = json.loads(out.with_suffix(".json").read_text())
     assert sidecar["workers"] == 1
     assert sidecar["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}
+    # the one process's solves get the whole budget: a thread a CPU
+    assert sidecar["solve_threads"] == len(os.sched_getaffinity(0))
+    assert set(sidecar["env"]) == {"python", "numpy", "blas"}
 
 
 def test_sweep_default_workers_write_the_serial_bytes(tmp_path):
@@ -378,7 +383,7 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch):
     run_cli("gen", "--kind", "ecg", "--n", "64", "--fs", "64", "--bpm", "60",
             "--seed", "1", "--out", str(src))
 
-    def explode(signal, ratio, seed, config=None):
+    def explode(signal, ratio, seed, config=None, threads=1):
         raise SolverFailure(3)
 
     monkeypatch.setattr("cstv.cli.recover_signal", explode)
@@ -390,7 +395,7 @@ def test_failed_solve_writes_its_residual_log(tmp_path, monkeypatch):
     src, out, log = tmp_path / "in.csv", tmp_path / "o.csv", tmp_path / "residuals.csv"
     run_cli("gen", "--kind", "ecg", "--n", "256", "--fs", "64", "--bpm", "60",
             "--seed", "2", "--out", str(src))
-    monkeypatch.setattr("cstv.solver.divergence", lambda gx, gy, out=None: np.full_like(gx, np.inf))
+    monkeypatch.setattr("cstv.solver.divergence", lambda gx, gy, out=None, rows=None: np.full_like(gx, np.inf))
     assert run_cli("reconstruct", "--in", str(src), "--ratio", "0.5", "--seed", "1",
                    "--out", str(out), "--residual-log", str(log)) == EXIT_SOLVER
     assert not out.exists()

@@ -1,4 +1,6 @@
 import math
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from _oracles import _divergence, admm_reference, constraint_gap, naive_tv
 from cstv.generators import gen_ecg_like
 from cstv.sampling import MeasurementSet, draw_mask, measure
 from cstv.signal import reshape_to_image
+from cstv.signal import Signal1D
 from cstv.solver import (
+    THREAD_MIN_SIDE,
     SolverConfig,
     SolverFailure,
     divergence,
@@ -18,6 +22,7 @@ from cstv.solver import (
     reconstruct,
     tv,
 )
+from cstv.sweep import recover_signal
 from cstv.transform import _dct2
 
 
@@ -69,6 +74,15 @@ def test_out_forms_match_allocating_forms_on_dirty_buffers(side):
     # differences into column 0; the strided formula must still hold exactly
     assert np.all(py[:, -1] != 0.0)
     assert div.tobytes() == _divergence(px, py).tobytes()
+    # the solver's threads each write one block of rows: blocks that cover
+    # the rows in any split give the whole form's bytes
+    for cuts in {(0, side), (0, side // 2, side), (0, 1, side - 1, side)}:
+        out_x, out_y, out_div = np.full((3, side, side), np.nan)
+        for top, end in zip(cuts, cuts[1:]):
+            grad(x, out=(out_x, out_y), rows=slice(top, end))
+            divergence(px, py, out=out_div, rows=slice(top, end))
+        assert out_x.tobytes() + out_y.tobytes() == gx.tobytes() + gy.tobytes()
+        assert out_div.tobytes() == div.tobytes()
 
 
 def test_divergence_of_zero_field_is_zero():
@@ -283,7 +297,7 @@ def test_non_finite_measured_value_fails_at_iteration_1(bad):
 def test_solver_failure_carries_iteration(monkeypatch):
     img = two_block_phantom()
     meas = measure(_dct2(img), draw_mask(16, 0.3, seed=0))
-    monkeypatch.setattr("cstv.solver.divergence", lambda gx, gy, out=None: np.full_like(gx, np.inf))
+    monkeypatch.setattr("cstv.solver.divergence", lambda gx, gy, out=None, rows=None: np.full_like(gx, np.inf))
     with pytest.raises(SolverFailure) as excinfo:
         reconstruct(meas, SolverConfig(max_iters=10))
     assert excinfo.value.iteration == 1
@@ -292,7 +306,7 @@ def test_solver_failure_carries_iteration(monkeypatch):
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_solver_failure_carries_the_residual_rows(monkeypatch):
     meas = measure(_dct2(two_block_phantom()), draw_mask(16, 0.3, seed=0))
-    monkeypatch.setattr("cstv.solver.divergence", lambda gx, gy, out=None: np.full_like(gx, np.inf))
+    monkeypatch.setattr("cstv.solver.divergence", lambda gx, gy, out=None, rows=None: np.full_like(gx, np.inf))
     with pytest.raises(SolverFailure) as excinfo:
         reconstruct(meas, SolverConfig(max_iters=10))
     (row,) = excinfo.value.residuals
@@ -378,3 +392,104 @@ def test_back_to_back_solves_of_different_sides_share_no_state():
     config = SolverConfig(max_iters=120)
     for meas in (ecg_measurements(0.6, seed=2), phantom_measurements(0.3, 1), ecg_measurements(0.6, seed=2)):
         assert_matches_reference(meas, config)
+
+
+def long_ecg(side):
+    """A 360 Hz ECG that fills a side x side image, like a long record."""
+    return Signal1D(gen_ecg_like(side * side, fs=360.0, seed=0).samples)
+
+
+def long_ecg_measurements(side, ratio=0.5, seed=1):
+    samples = long_ecg(side).samples
+    img = reshape_to_image(samples - np.mean(samples))
+    return measure(_dct2(img), draw_mask(side, ratio, seed))
+
+
+def result_bytes(result):
+    return (result.image.tobytes(), repr(result.residuals), result.iters_used, result.final_tv.hex(),
+            result.converged)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Counts the threads started; fails the test if any outlives it."""
+    before, starts = threading.active_count(), []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        starts.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    yield starts
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("side,config,started", [
+    (256, SolverConfig(), 1),  # the split DCT; the default config, which converges
+    (THREAD_MIN_SIDE, SolverConfig(max_iters=30), 1),
+    (THREAD_MIN_SIDE + 1, SolverConfig(max_iters=30), 0),  # odd: the dense DCT, on one thread
+    (THREAD_MIN_SIDE - 2, SolverConfig(max_iters=30), 0),
+], ids=["256", "min-side", "odd", "below-min-side"])
+def test_two_threads_give_the_bytes_of_one(thread_starts, side, config, started):
+    meas = long_ecg_measurements(side)
+    one = reconstruct(meas, config, threads=1)
+    assert thread_starts == []
+    two = reconstruct(meas, config, threads=2)
+    assert len(thread_starts) == started
+    assert result_bytes(two) == result_bytes(one)
+    assert one.converged == (config == SolverConfig())
+
+
+def test_overflowing_input_fails_alike_on_two_threads(thread_starts):
+    # samples near the float maximum overflow the start's TV, before any iteration
+    signal = Signal1D(long_ecg(256).samples * 1e306)
+    failures = []
+    for threads in (1, 2):
+        with pytest.raises(SolverFailure) as failure:
+            recover_signal(signal, 0.5, 1, threads=threads)
+        failures.append((failure.value.iteration, failure.value.residuals))
+    assert failures == [(1, ())] * 2
+
+
+def test_overflow_on_a_worker_fails_alike_and_warns_nowhere(thread_starts, monkeypatch):
+    # a gradient of 1e300 overflows the shrink step's squares on every
+    # thread; recover_signal's error state must hold on the worker too, or
+    # the overflow warning, an error under pytest, would stop it
+    real_grad = grad
+
+    def huge_grad(x, out=None, rows=slice(None)):
+        fields = real_grad(x, out, rows)
+        if out is not None:  # the iteration's, not tv's
+            for field in fields:
+                field[rows] *= 1e300
+        return fields
+
+    monkeypatch.setattr("cstv.solver.grad", huge_grad)
+    failures = []
+    for threads in (1, 2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverFailure) as failure:
+                recover_signal(long_ecg(256), 0.5, 1, threads=threads)
+        failures.append((failure.value.iteration, repr(failure.value.residuals)))
+    assert len(thread_starts) == 1
+    assert failures[0] == failures[1]
+    assert failures[0][0] == 1 and "inf" in failures[0][1]
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+@pytest.mark.parametrize("on_worker", [True, False], ids=["worker", "caller"])
+def test_an_error_on_any_thread_reaches_the_caller_and_frees_the_others(thread_starts, monkeypatch, error,
+                                                                          on_worker):
+    real_divergence = divergence
+
+    def failing_divergence(gx, gy, out=None, rows=slice(None)):
+        if (threading.current_thread() is threading.main_thread()) != on_worker:
+            raise error("injected")
+        return real_divergence(gx, gy, out, rows)
+
+    monkeypatch.setattr("cstv.solver.divergence", failing_divergence)
+    with pytest.raises(error, match="injected"):
+        reconstruct(long_ecg_measurements(256), SolverConfig(max_iters=5), threads=2)
+    assert len(thread_starts) == 1

@@ -1,4 +1,5 @@
 import json
+import platform
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from _oracles import constraint_gap, pipeline_measurements
 from cstv.generators import gen_ecg_like
 from cstv.signal import Signal1D
 from cstv.solver import SolverConfig, SolverFailure, tv
-from cstv.sweep import (SweepSpec, default_workers, mse, ratio_medians, recover_signal, run_sweep,
+from cstv.sweep import (SweepSpec, mse, ratio_medians, recover_signal, run_sweep, thread_budget,
                         write_report_csv, write_report_sidecar)
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
@@ -161,14 +162,37 @@ def test_default_workers_fit_beside_blas(monkeypatch, settings, cpus, workers):
     for var, value in settings.items():
         monkeypatch.setenv(var, value)
     monkeypatch.setattr(sweep_mod.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    assert default_workers() == workers
+    assert thread_budget() == workers
 
 
 def test_default_workers_count_cpus_where_affinity_is_unknown(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     monkeypatch.delattr(sweep_mod.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 6)
-    assert default_workers() == 3
+    assert thread_budget() == 3
+
+
+def test_a_sweep_shares_the_thread_budget_between_its_processes(tmp_path, monkeypatch):
+    monkeypatch.setattr(sweep_mod, "thread_budget", lambda: 2)
+    given = []
+    real_reconstruct = sweep_mod.reconstruct
+
+    def recording(meas, config=None, threads=1):
+        given.append(threads)
+        return real_reconstruct(meas, config, threads)
+
+    monkeypatch.setattr(sweep_mod, "reconstruct", recording)
+    spec, sidecar = small_spec(), tmp_path / "report.json"
+    for workers, threads in ((1, 2), (2, 1)):
+        given.clear()
+        rows = run_sweep(spec, workers=workers)
+        # the rows this process solved; a pooled row's record stays in its process
+        assert given and set(given) == {threads}
+        write_report_sidecar(rows, spec, sidecar, workers)
+        assert json.loads(sidecar.read_text())["solve_threads"] == threads
+    env = json.loads(sidecar.read_text())["env"]
+    assert env["python"] == platform.python_version() and env["numpy"] == np.__version__
+    assert set(env["blas"]) == {"name", "version"} and all(isinstance(v, str) for v in env["blas"].values())
 
 
 def test_sweep_rows_are_sorted_and_complete():
@@ -211,7 +235,7 @@ def test_report_csv_bytes_are_reproducible(tmp_path):
 
 
 def test_failed_rows_marked_nan_and_sweep_continues(tmp_path, monkeypatch):
-    def explode(meas, config=None):
+    def explode(meas, config=None, threads=1):
         raise SolverFailure(7)
 
     monkeypatch.setattr(sweep_mod, "reconstruct", explode)
