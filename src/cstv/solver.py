@@ -21,25 +21,26 @@ returned as it is when TV(X0) = 0 or no coefficient is free.  The solve
 stops when the primal residual ||grad X - d|| and the dual residual
 MU ||div(d - d_prev)|| (Boyd et al. 2011, section 3.3) are at most tol
 times max(||grad X||, ||d||) and MU ||div b||; ``converged`` means
-exactly that.  Row i of
-``residuals`` holds these four norms (primal, its scale, dual, its scale)
-after iteration i + 1, in solve units: the last row of a converged solve
-is the test passing, and the rows vary with amplitude only by round-off.
+exactly that.  Row i of ``residuals`` holds these four norms (primal, its
+scale, dual, its scale) after iteration i + 1, in solve units: the last
+row of a converged solve is the test passing, and the rows vary with
+amplitude only by round-off.
 
-No array is allocated after setup: every step writes into buffers made
-once per call, through the ``out=`` forms of the operators the tests
-check, and the norms are BLAS dot products over whole buffers.
+No array is made after setup, nor a view outside the DCT pair: each thread
+binds its steps' calls to views once per solve, as :func:`grad` and
+:func:`divergence` bind theirs, and runs them every iteration.  Paired steps
+are one call over stacked arrays: g and b lose d together, div b and div d
+come together, and the dual residual and the x-update's right-hand side are
+one difference (:func:`_dual_steps`).  The norms are BLAS dot products.
 
 At even sides of THREAD_MIN_SIDE and up an iteration runs on two threads,
 the calling one included, when ``threads`` allows.  Each owns a block of
 image rows for the elementwise steps, grad and divergence, and one parity
 of spectrum rows for the DCT products, each of which it computes whole.
-The threads meet at a barrier only where a step reads rows that the other
-wrote: twice inside the inverse DCT and once inside the forward one, at
-the one-row halo of grad and of the divergences, and at each norm, which
-one thread takes over the whole buffer while the other waits.  So every
-value, the stop included, is the same to the byte on one thread or two;
-on one thread the same steps run over a single block.
+They meet at a barrier only where a step reads rows that the other wrote,
+inside the DCT pair and at the one-row halo of grad and the divergences,
+and at each norm, which one thread takes over the whole buffer.  So every
+value, the stop included, is the same to the byte on one thread or two.
 """
 
 from __future__ import annotations
@@ -107,6 +108,30 @@ class ReconstructionResult:
     test, in units of TV(start) / side^2."""
 
 
+def _run(steps) -> None:
+    """Make each (function, arguments) call of steps in turn."""
+    for function, args in steps:
+        function(*args)
+
+
+def _flat(a: Array) -> Array:
+    """A view of a with its last two axes as one; its rows must be C-contiguous."""
+    if a.strides[-2:] != (a.itemsize * a.shape[-1], a.itemsize):
+        raise ValueError("rows must be C-contiguous")
+    return a.reshape(*a.shape[:-2], -1)
+
+
+def _grad_steps(x: Array, gx: Array, gy: Array, rows: slice) -> list:
+    """The calls that write the block ``rows`` of grad x to gx and gy, as
+    (function, arguments) pairs over views: made once, run by :func:`_run`."""
+    top, end, _ = rows.indices(x.shape[0])
+    last, width = min(end, x.shape[0] - 1), x.shape[1]
+    flat, gy_flat = _flat(x)[top * width:end * width], _flat(gy)[top * width:end * width - 1]
+    # one pass over the flattened rows, whose wrapped differences land in the zeroed last column
+    return [(np.subtract, (x[top + 1:last + 1], x[top:last], gx[top:last])), (gx[last:end].fill, (0.0,)),
+            (np.subtract, (flat[1:], flat[:-1], gy_flat)), (gy[top:end, -1].fill, (0.0,))]
+
+
 def grad(x: Array, out: tuple[Array, Array] | None = None, rows: slice = slice(None)) -> tuple[Array, Array]:
     """Per-pixel forward differences down rows (gx) and across columns (gy).
 
@@ -116,48 +141,47 @@ def grad(x: Array, out: tuple[Array, Array] | None = None, rows: slice = slice(N
     reads the same rows of x and the row below them.
     """
     gx, gy = (np.empty_like(x, order="C"), np.empty_like(x, order="C")) if out is None else out
-    if not gy.flags.c_contiguous:
-        raise ValueError("gy must be C-contiguous")
-    top, end, _ = rows.indices(x.shape[0])
-    last = min(end, x.shape[0] - 1)
-    np.subtract(x[top + 1:last + 1], x[top:last], out=gx[top:last])
-    gx[last:end] = 0.0
-    # one pass over the flattened rows; the differences that wrap from the
-    # end of one row to the start of the next land in the zeroed last column
-    width = x.shape[1]
-    flat = x.ravel()
-    np.subtract(flat[top * width + 1:end * width], flat[top * width:end * width - 1],
-                out=gy.reshape(-1)[top * width:end * width - 1])
-    gy[top:end, -1] = 0.0
+    _run(_grad_steps(np.ascontiguousarray(x), gx, gy, rows))
     return gx, gy
+
+
+def _divergence_steps(gx: Array, gy: Array, div: Array, rows: slice) -> list:
+    """:func:`_grad_steps` for divergence(gx, gy) into div; each call spans
+    the fields that the arrays may stack along leading axes."""
+    top, end, _ = rows.indices(gx.shape[-2])
+    below, width = max(top, 1), gx.shape[-1]  # below: the first row with a row above it
+    block, inner, upper = np.s_[..., top:end, :], np.s_[..., below:end, :], np.s_[..., below - 1:end - 1, :]
+    flat, gy_flat = _flat(div)[..., top * width + 1:end * width], _flat(gy)[..., top * width:end * width - 1]
+    copy_row_0 = [(np.copyto, (div[..., 0, :], gx[..., 0, :]))] if top == 0 else []
+    # one pass over the flattened rows after the block's first value; column 0, where it wraps, is remade below row 0
+    return [(np.subtract, (gx[inner], gx[upper], div[inner])), *copy_row_0,
+            (np.add, (div[block], gy[block], div[block])), (np.subtract, (flat, gy_flat, flat)),
+            (np.subtract, (gx[inner][..., 0], gx[upper][..., 0], div[inner][..., 0])),
+            (np.add, (div[inner][..., 0], gy[inner][..., 0], div[inner][..., 0]))]
 
 
 def divergence(gx: Array, gy: Array, out: Array | None = None, rows: slice = slice(None)) -> Array:
     """Negative adjoint of :func:`grad`:  <grad X, P> == -<X, divergence(P)>
     for fields P that are zero on the trailing boundary.  ``out`` is an
-    optional C-contiguous array to write, distinct from gx and gy.  Only
-    the block ``rows`` of out is written; it reads the same rows of gx and
-    gy and the row of gx above them."""
+    optional array with C-contiguous rows to write, distinct from gx and
+    gy.  Only the block ``rows`` of out is written; it reads the same rows
+    of gx and gy and the row of gx above them.  Leading axes of gx and gy
+    stack fields, whose divergences out stacks alike."""
     div = np.empty(gx.shape) if out is None else out
-    if not div.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
-    top, end, _ = rows.indices(gx.shape[0])
-    below = max(top, 1)  # the first row with a row above it
-    block = div[top:end]
-    np.copyto(block, gx[top:end])
-    div[below:end] -= gx[below - 1:end - 1]
-    block += gy[top:end]
-    # one pass over the flattened rows; the differences that wrap from the
-    # end of one row to the start of the next land in column 0, remade here
-    width = gx.shape[1]
-    flat = div.reshape(-1)
-    np.subtract(flat[top * width + 1:end * width], gy.ravel()[top * width:end * width - 1],
-                out=flat[top * width + 1:end * width])
-    np.subtract(gx[below:end, 0], gx[below - 1:end - 1, 0], out=div[below:end, 0])
-    if top == 0:
-        div[0, 0] = gx[0, 0]
-    block[:, 0] += gy[top:end, 0]
+    _run(_divergence_steps(gx, gy, div, rows))
     return div
+
+
+def _dual_steps(fields: Array, slots: Array, rows: slice) -> tuple[list, list]:
+    """The calls of even and of odd iterations that write div b and div d of
+    fields = (g, b, d) to slots, div b to slot 0 and div d to slot 1, then 2,
+    in the block ``rows``, and then div d - div d_prev (from slot 2, then 1)
+    to g[0] and div b - div d to g[1] in one subtract."""
+    g, pair = fields[0], fields[1:]
+    return tuple(_divergence_steps(pair[:, 0], pair[:, 1], slots[written], rows)
+                 + [(np.subtract, (slots[minuend, rows], slots[1:3, rows], differences[:, rows]))]
+                 for written, minuend, differences in ((np.s_[0:2], np.s_[0:2], g[::-1]),
+                                                       (np.s_[0::2], np.s_[2::-2], g)))
 
 
 def tv(x: Array) -> float:
@@ -240,6 +264,8 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None, thread
     below THREAD_MIN_SIDE or at an odd side; the result is the same to the
     byte on any number.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     config = config or SolverConfig()
     side, kept = meas.mask.side, (meas.mask.rows, meas.mask.cols)
     pinned = np.zeros((side, side))
@@ -260,74 +286,69 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None, thread
     np.divide(pinned, scale, out=pinned)
 
     # the relaxed step reads d, and div(d) is kept so that an iteration takes
-    # two divergences.  g[1] holds div(b) - div(d) for the x-update, which
-    # transforms it in place with mag, work and g[0] as scratch; work holds
-    # nothing between iterations.
-    x = start / scale
-    buffers = np.zeros_like(x), np.empty_like(x)
-    mag = np.empty_like(x)
-    g, b, d = np.zeros((3, 2, side, side))
-    rhs = g[1]
+    # two divergences.  g[1] holds div(b) - div(d) for the x-update, whose
+    # scratch is g[0] and the two slots free then, the shrink step's too.
+    x, fields, slots = start / scale, np.zeros((3, 2, side, side)), np.zeros((3, side, side))
+    (g, b, d), rhs = fields, fields[0, 1]
     residuals: list[tuple[float, float, float, float]] = []
     norms: dict[str, float] = {}
     stop: list[int] = []
 
     def iterate(rows: slice, sync) -> None:
-        """The iterations on the block ``rows``, and on the spectrum rows of
-        its DCT products.  sync() waits for the other blocks where a stage
-        reads what they write, and each norm runs on one thread, over the
-        whole buffer, while the others wait."""
-        div_d, work = buffers
+        """The iterations on the block ``rows``, and on the spectrum rows of its
+        DCT products, with views made here, once.  sync() waits for the other
+        blocks where a stage reads what they write; each norm runs on one
+        thread, over the whole buffer, while the others wait."""
         spectral = [(rhs[part], weight[part], pinned[part]) for part in _spectrum_rows(side, rows)]
-        gb, bb, db, magb, g0b, rhsb = g[:, rows], b[:, rows], d[:, rows], mag[rows], g[0, rows], rhs[rows]
-        g0 = g[0]
+        gb, bb, db, db0, db1, shrunk = g[:, rows], b[:, rows], d[:, rows], d[0, rows], d[1, rows], slots[0, rows]
+        g_and_b, g0, slot0, relax, threshold = fields[:2, :, rows], g[0], slots[0], 1.0 - RELAX, 1.0 / MU
+        grad_x = _grad_steps(x, g[0], g[1], rows)
+        # per parity of the iteration: the DCT's scratch, |u| and the divergences
+        phases = [((slots[free], slot0, g0), slots[free, rows], dual)
+                  for free, dual in zip((1, 2), _dual_steps(fields, slots, rows))]
 
         def norms_of_grad_and_shrink() -> None:
-            norms.update(grad=_norm(g), shrunk=_norm(work))
+            norms.update(grad=_norm(g), shrunk=_norm(slot0))
 
         def primal_norm() -> None:
             norms.update(primal=_norm(g))
 
         def certify() -> None:
-            # g[0] holds div(d) - div(d_prev), the dual residual over MU
-            row = (norms["primal"], max(norms["grad"], norms["shrunk"]), MU * _norm(g0), MU * _norm(div_b))
+            # g[0] holds div(d) - div(d_prev), the dual residual over MU, and slot 0 div(b)
+            row = (norms["primal"], max(norms["grad"], norms["shrunk"]), MU * _norm(g0), MU * _norm(slot0))
             residuals.append(row)
             if not all(map(math.isfinite, row)):
                 raise SolverFailure(len(residuals), tuple(residuals))
             if row[0] <= config.tol * row[1] and row[2] <= config.tol * row[3]:
                 stop.append(len(residuals))
 
-        for _ in range(config.max_iters):
-            _dct2(rhs, out=rhs, work=(mag, work, g0), rows=rows, sync=sync)
+        for i in range(config.max_iters):
+            work, magb, dual = phases[i % 2]
+            _dct2(rhs, out=rhs, work=work, rows=rows, sync=sync)
             for part, weight_part, pinned_part in spectral:
-                np.multiply(part, weight_part, out=part)
-                np.add(part, pinned_part, out=part)
-            _idct2(rhs, out=x, work=(mag, work, g0), rows=rows, sync=sync)
+                np.multiply(part, weight_part, part)
+                np.add(part, pinned_part, part)
+            _idct2(rhs, out=x, work=work, rows=rows, sync=sync)
 
             # b becomes u = (b + (1 - RELAX) d) + RELAX grad x, and d is scratch
-            # until it is remade; mag holds |u| per pixel, then the factor that
-            # shrinks u to d.  grad reads the row below the block.
+            # until it is remade; magb holds |u| per pixel, then the factor that
+            # shrinks u to d, and slot 0 the shrunk magnitude until div(b)
+            # overwrites it.  grad reads the row below the block.
             sync()
-            grad(x, out=(g[0], g[1]), rows=rows)
-            np.add(bb, np.multiply(db, 1.0 - RELAX, out=db), out=bb)
-            np.add(bb, np.multiply(gb, RELAX, out=db), out=bb)
-            np.multiply(bb, bb, out=db)
-            np.add(db[0], db[1], out=magb)
-            np.sqrt(magb, out=magb)
-            workb = work[rows]
-            np.maximum(np.subtract(magb, 1.0 / MU, out=workb), 0.0, out=workb)
+            _run(grad_x)
+            np.add(bb, np.multiply(db, relax, db), bb)
+            np.add(bb, np.multiply(gb, RELAX, db), bb)
+            np.multiply(bb, bb, db)
+            np.add(db0, db1, magb)
+            np.sqrt(magb, magb)
+            np.maximum(np.subtract(magb, threshold, shrunk), 0.0, out=shrunk)
             sync(norms_of_grad_and_shrink)
-            np.divide(workb, np.maximum(magb, 1.0 / MU, out=magb), out=magb)
-            np.multiply(bb, magb, out=db)
-            np.subtract(gb, db, out=gb)
-            np.subtract(bb, db, out=bb)
+            np.divide(shrunk, np.maximum(magb, threshold, out=magb), magb)
+            np.multiply(bb, magb, db)
+            np.subtract(g_and_b, db, g_and_b)
             # the divergences read the row above the block
             sync(primal_norm)
-            new_div_d = divergence(d[0], d[1], out=work, rows=rows)
-            np.subtract(new_div_d[rows], div_d[rows], out=g0b)
-            div_d, work = new_div_d, div_d
-            div_b = divergence(b[0], b[1], out=mag, rows=rows)
-            np.subtract(div_b[rows], div_d[rows], out=rhsb)
+            _run(dual)
             sync(certify)
             if stop:
                 break

@@ -56,6 +56,8 @@ def recover_signal(
     whose mean, centring or kept DCT coefficients overflow make the start's
     TV non-finite, so the solve fails at iteration 1; the overflow raises no
     warning, on any thread, the :class:`SolverFailure` reports it."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     mean = np.mean(signal.samples)
     image = reshape_to_image(signal.samples - mean)
     mask = draw_mask(image.shape[0], ratio, seed)
@@ -183,9 +185,11 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> tuple[SweepRow, ...]:
 
 def ratio_medians(rows: tuple[SweepRow, ...], key: str = "mse") -> tuple[tuple[float, float], ...]:
     """Per-ratio (ratio, median of ``key`` over seeds), failed rows excluded."""
-    done = {ratio: [getattr(r, key) for r in rows if r.ratio == ratio and not np.isnan(r.mse)]
+    done = {ratio: sorted(getattr(r, key) for r in rows if r.ratio == ratio and not np.isnan(r.mse))
             for ratio in sorted({r.ratio for r in rows})}
-    return tuple((ratio, float(np.median(v)) if v else float("nan")) for ratio, v in done.items())
+    # the mean of the middle one or two values: np.median's, without the numpy.ma import of its NaN check
+    return tuple((ratio, float(np.mean(v[(len(v) - 1) // 2:len(v) // 2 + 1])) if v else float("nan"))
+                 for ratio, v in done.items())
 
 
 def write_report_csv(rows: tuple[SweepRow, ...], path: str | Path) -> None:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cstv.solver
 from cstv.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main, write_pgm
 from cstv.generators import gen_ecg_like
 from cstv.signal import Signal1D, load_signal_csv, save_signal_csv
@@ -395,7 +396,9 @@ def test_failed_solve_writes_its_residual_log(tmp_path, monkeypatch):
     src, out, log = tmp_path / "in.csv", tmp_path / "o.csv", tmp_path / "residuals.csv"
     run_cli("gen", "--kind", "ecg", "--n", "256", "--fs", "64", "--bpm", "60",
             "--seed", "2", "--out", str(src))
-    monkeypatch.setattr("cstv.solver.divergence", lambda gx, gy, out=None, rows=None: np.full_like(gx, np.inf))
+    divergence_steps = cstv.solver._divergence_steps
+    monkeypatch.setattr("cstv.solver._divergence_steps",
+                        lambda gx, gy, div, rows: divergence_steps(gx, gy, div, rows) + [(div.fill, (np.inf,))])
     assert run_cli("reconstruct", "--in", str(src), "--ratio", "0.5", "--seed", "1",
                    "--out", str(out), "--residual-log", str(log)) == EXIT_SOLVER
     assert not out.exists()
@@ -439,6 +442,18 @@ def test_import_leaves_the_process_pool_unloaded():
     # only a parallel sweep needs it, and loading it slows every start-up
     code = "import sys, cstv.cli; sys.exit('concurrent.futures.process' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def test_a_sweep_call_leaves_numpy_ma_unloaded(tmp_path):
+    # np.median would import it; loading it costs every sweep call
+    src = gen_csv(tmp_path / "sig.csv", "--kind", "ecg", "--n", "64", "--fs", "64", "--bpm", "60", "--seed", "1")
+    argv = ["sweep", "--in", src, "--ratios", "0.5,1.0", "--seeds", "1,2", "--workers", "1",
+            "--out", str(tmp_path / "o.csv")]
+    code = f"import sys, cstv.cli; assert cstv.cli.main({argv!r}) == 0; print('numpy.ma' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_write_pgm_flat_image(tmp_path):

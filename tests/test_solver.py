@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import _divergence, admm_reference, constraint_gap, naive_tv
+import cstv.solver as solver_module
 from cstv.generators import gen_ecg_like
 from cstv.sampling import MeasurementSet, draw_mask, measure
 from cstv.signal import reshape_to_image
@@ -16,6 +18,10 @@ from cstv.solver import (
     THREAD_MIN_SIDE,
     SolverConfig,
     SolverFailure,
+    _divergence_steps,
+    _dual_steps,
+    _grad_steps,
+    _run,
     divergence,
     grad,
     load_solver_config,
@@ -83,6 +89,31 @@ def test_out_forms_match_allocating_forms_on_dirty_buffers(side):
             divergence(px, py, out=out_div, rows=slice(top, end))
         assert out_x.tobytes() + out_y.tobytes() == gx.tobytes() + gy.tobytes()
         assert out_div.tobytes() == div.tobytes()
+
+
+@pytest.mark.parametrize("side", [1, 2, 5, 64, 129])
+def test_stacked_divergences_and_differences_match_the_per_field_forms(side):
+    # the solver's iterations write div b and div d of the stacked pair
+    # (b, d) to slots that alternate with the iteration's parity, and each
+    # pair of differences in one subtract; blocks at row 0, inside and at
+    # the last row, each made once and run on every iteration, give the
+    # bytes of the per-field forms
+    rng = np.random.default_rng(side)
+    cuts = sorted({0, 1, side // 2, side - 1, side})
+    fields, slots = np.full((3, 2, side, side), np.nan), np.full((3, side, side), np.nan)
+    d_prev = rng.normal(size=(2, side, side))
+    slots[2] = divergence(*d_prev)
+    blocks = [_dual_steps(fields, slots, slice(top, end)) for top, end in zip(cuts, cuts[1:])]
+    for i in range(4):
+        fields[1:] = rng.normal(size=(2, 2, side, side))
+        for steps in blocks:
+            _run(steps[i % 2])
+        (g, b, d), div_b, div_d = fields, divergence(*fields[1]), divergence(*fields[2])
+        assert div_b.tobytes() == _divergence(*b).tobytes() == slots[0].tobytes()
+        assert div_d.tobytes() == _divergence(*d).tobytes() == slots[1 + i % 2].tobytes()
+        assert g[0].tobytes() == (div_d - divergence(*d_prev)).tobytes()
+        assert g[1].tobytes() == (div_b - div_d).tobytes()
+        d_prev = d.copy()
 
 
 def test_divergence_of_zero_field_is_zero():
@@ -293,11 +324,16 @@ def test_non_finite_measured_value_fails_at_iteration_1(bad):
     assert excinfo.value.iteration == 1
 
 
+def infinite_divergences(gx, gy, div, rows):
+    """The solver's divergence calls, followed by one that makes them infinite."""
+    return _divergence_steps(gx, gy, div, rows) + [(div[..., rows, :].fill, (np.inf,))]
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_solver_failure_carries_iteration(monkeypatch):
     img = two_block_phantom()
     meas = measure(_dct2(img), draw_mask(16, 0.3, seed=0))
-    monkeypatch.setattr("cstv.solver.divergence", lambda gx, gy, out=None, rows=None: np.full_like(gx, np.inf))
+    monkeypatch.setattr("cstv.solver._divergence_steps", infinite_divergences)
     with pytest.raises(SolverFailure) as excinfo:
         reconstruct(meas, SolverConfig(max_iters=10))
     assert excinfo.value.iteration == 1
@@ -306,7 +342,7 @@ def test_solver_failure_carries_iteration(monkeypatch):
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_solver_failure_carries_the_residual_rows(monkeypatch):
     meas = measure(_dct2(two_block_phantom()), draw_mask(16, 0.3, seed=0))
-    monkeypatch.setattr("cstv.solver.divergence", lambda gx, gy, out=None, rows=None: np.full_like(gx, np.inf))
+    monkeypatch.setattr("cstv.solver._divergence_steps", infinite_divergences)
     with pytest.raises(SolverFailure) as excinfo:
         reconstruct(meas, SolverConfig(max_iters=10))
     (row,) = excinfo.value.residuals
@@ -456,16 +492,13 @@ def test_overflow_on_a_worker_fails_alike_and_warns_nowhere(thread_starts, monke
     # a gradient of 1e300 overflows the shrink step's squares on every
     # thread; recover_signal's error state must hold on the worker too, or
     # the overflow warning, an error under pytest, would stop it
-    real_grad = grad
+    def huge_grad(x, gx, gy, rows):
+        steps = _grad_steps(x, gx, gy, rows)
+        if gx.base is None:  # tv's gradient, in arrays of its own, not the iteration's
+            return steps
+        return steps + [(np.multiply, (field[rows], 1e300, field[rows])) for field in (gx, gy)]
 
-    def huge_grad(x, out=None, rows=slice(None)):
-        fields = real_grad(x, out, rows)
-        if out is not None:  # the iteration's, not tv's
-            for field in fields:
-                field[rows] *= 1e300
-        return fields
-
-    monkeypatch.setattr("cstv.solver.grad", huge_grad)
+    monkeypatch.setattr("cstv.solver._grad_steps", huge_grad)
     failures = []
     for threads in (1, 2):
         with warnings.catch_warnings():
@@ -482,14 +515,59 @@ def test_overflow_on_a_worker_fails_alike_and_warns_nowhere(thread_starts, monke
 @pytest.mark.parametrize("on_worker", [True, False], ids=["worker", "caller"])
 def test_an_error_on_any_thread_reaches_the_caller_and_frees_the_others(thread_starts, monkeypatch, error,
                                                                           on_worker):
-    real_divergence = divergence
-
-    def failing_divergence(gx, gy, out=None, rows=slice(None)):
+    def fail_on_the_chosen_thread():
         if (threading.current_thread() is threading.main_thread()) != on_worker:
             raise error("injected")
-        return real_divergence(gx, gy, out, rows)
 
-    monkeypatch.setattr("cstv.solver.divergence", failing_divergence)
+    monkeypatch.setattr("cstv.solver._divergence_steps",
+                        lambda *args: [(fail_on_the_chosen_thread, ()), *_divergence_steps(*args)])
     with pytest.raises(error, match="injected"):
         reconstruct(long_ecg_measurements(256), SolverConfig(max_iters=5), threads=2)
     assert len(thread_starts) == 1
+
+
+@pytest.mark.parametrize("side", [64, 256])
+@pytest.mark.parametrize("threads", [0, -1])
+def test_a_thread_count_below_one_is_refused_before_any_setup(thread_starts, monkeypatch, side, threads):
+    meas, signal = long_ecg_measurements(side), long_ecg(side)
+    for name in ("cstv.solver._idct2", "cstv.sweep.draw_mask"):  # a step of each set-up
+        monkeypatch.setattr(name, lambda *args, **kwargs: pytest.fail("set-up ran"))
+    with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+        reconstruct(meas, threads=threads)
+    with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+        recover_signal(signal, 0.5, 1, threads=threads)
+    assert thread_starts == []
+
+
+@pytest.mark.parametrize("side,threads", [(128, 1), (256, 1), (256, 2)])
+def test_iterations_allocate_no_array(monkeypatch, side, threads):
+    # the solve's traced peak and the iterations' own peak above what they
+    # hold when they start; tv's temporaries after the iterations set the
+    # former, so only the latter would see an array that one iteration
+    # makes and drops
+    meas, real_on_threads, loop_peaks = long_ecg_measurements(side), solver_module._on_threads, []
+
+    def traced_on_threads(*args):
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        real_on_threads(*args)
+        loop_peaks.append(tracemalloc.get_traced_memory()[1] - held)
+
+    reconstruct(meas, SolverConfig(max_iters=2), threads)  # fills the transform's basis caches
+    monkeypatch.setattr(solver_module, "_on_threads", traced_on_threads)
+    peaks = []
+    for max_iters in (2, 40):
+        tracemalloc.start()
+        try:
+            result = reconstruct(meas, SolverConfig(max_iters=max_iters, tol=1e-15), threads)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert result.iters_used == max_iters
+    # the residual rows, well under a KiB each, are all that accumulates
+    assert 0 <= peaks[1] - peaks[0] <= 1024 * (40 - 2)
+    if side == 256:
+        # less than one side x side array (512 KiB); numpy buffers up to 8192
+        # values (64 KiB) an operand of a call whose operands' strides differ,
+        # which at side 128 alone exceed its 128 KiB array
+        assert max(loop_peaks) < 8 * side * side

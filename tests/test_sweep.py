@@ -318,6 +318,20 @@ def test_median_aggregation_ignores_failed_rows(monkeypatch):
     assert not np.isnan(medians[0.4])
 
 
+@pytest.mark.parametrize("values", [
+    [0.25], [3.0, 1.0], [2.0, np.inf, 1.0], [-np.inf, np.inf], [np.inf, 1.0, -np.inf, 2.0], [np.inf, np.inf],
+    [1.5e308, 1.7e308], [1.7e308, 5.0, 1.5e308], [0.9, 0.1, 0.4, 0.3, 0.7, 0.2], [5e-324, 0.0, -5e-324, 1e-300],
+], ids=repr)
+def test_ratio_medians_equal_numpy_medians(values):
+    # odd and even lists, infinities and sums that overflow included
+    rows = tuple(sweep_mod.SweepRow(0.5, seed, value, 1, True, 0.0, start_mse=value, final_tv=-value)
+                 for seed, value in enumerate(values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = [float(np.median(values)), float(np.median(np.negative(values)))]
+        got = [median for key in ("mse", "start_mse", "final_tv") for ratio, median in ratio_medians(rows, key)]
+    assert repr(got) == repr([want[0], want[0], want[1]])
+
+
 # Scaling a signal by c > 0 and shifting it scales and shifts its recovery the
 # same way: the pipeline removes the mean, and the solver works in units of
 # its start's mean gradient magnitude.  Measured worst deviation over 750
