@@ -132,16 +132,15 @@ def _grad_steps(x: Array, gx: Array, gy: Array, rows: slice) -> list:
             (np.subtract, (flat[1:], flat[:-1], gy_flat)), (gy[top:end, -1].fill, (0.0,))]
 
 
-def grad(x: Array, out: tuple[Array, Array] | None = None, rows: slice = slice(None)) -> tuple[Array, Array]:
+def grad(x: Array) -> tuple[Array, Array]:
     """Per-pixel forward differences down rows (gx) and across columns (gy).
 
     Zero on the trailing boundary: the last row of gx and the last column
-    of gy.  ``out`` is an optional C-contiguous (gx, gy) pair to write,
-    distinct from x.  Only the block ``rows`` of gx and gy is written; it
-    reads the same rows of x and the row below them.
+    of gy.
     """
-    gx, gy = (np.empty_like(x, order="C"), np.empty_like(x, order="C")) if out is None else out
-    _run(_grad_steps(np.ascontiguousarray(x), gx, gy, rows))
+    x = np.ascontiguousarray(x)
+    gx, gy = np.empty_like(x), np.empty_like(x)
+    _run(_grad_steps(x, gx, gy, slice(None)))
     return gx, gy
 
 
@@ -160,15 +159,13 @@ def _divergence_steps(gx: Array, gy: Array, div: Array, rows: slice) -> list:
             (np.add, (div[inner][..., 0], gy[inner][..., 0], div[inner][..., 0]))]
 
 
-def divergence(gx: Array, gy: Array, out: Array | None = None, rows: slice = slice(None)) -> Array:
+def divergence(gx: Array, gy: Array) -> Array:
     """Negative adjoint of :func:`grad`:  <grad X, P> == -<X, divergence(P)>
-    for fields P that are zero on the trailing boundary.  ``out`` is an
-    optional array with C-contiguous rows to write, distinct from gx and
-    gy.  Only the block ``rows`` of out is written; it reads the same rows
-    of gx and gy and the row of gx above them.  Leading axes of gx and gy
-    stack fields, whose divergences out stacks alike."""
-    div = np.empty(gx.shape) if out is None else out
-    _run(_divergence_steps(gx, gy, div, rows))
+    for fields P that are zero on the trailing boundary.  gy's rows must be
+    C-contiguous.  Leading axes of gx and gy stack fields, whose divergences
+    the result stacks alike."""
+    div = np.empty(gx.shape)
+    _run(_divergence_steps(gx, gy, div, slice(None)))
     return div
 
 
@@ -203,54 +200,43 @@ def _norm(a: Array) -> float:
 
 
 def _on_threads(side: int, threads: int, body) -> None:
-    """Run body(rows, sync) on ``threads`` threads, this one included, each
-    with its own block of rows of a side x side image.  sync(action) waits
-    until every thread has called it, then runs action, if any, on one of
-    them before any goes on; on one thread it runs action at once.
+    """Run body(rows, sync) on this thread over all rows of a side x side
+    image when ``threads`` is 1, else on this thread and one more, each
+    over its own half of the rows.  sync(action) waits until both threads
+    have called it, then runs action, if any, on one of them before either
+    goes on; on one thread it runs action at once.
 
-    The other threads start here, run in copies of this thread's context
-    (numpy's error state is part of it) and are joined before this returns.
-    An exception in any thread breaks the barrier, so that no thread waits
-    for ever, and is raised here."""
+    The second thread starts here, runs in a copy of this thread's context
+    (numpy's error state is part of it) and is joined before this returns.
+    An exception in either thread breaks the barrier, so that the other
+    does not wait for ever, and is raised here."""
     if threads == 1:
         body(slice(0, side), _alone)
         return
     pending = [None]
-
-    def run_pending() -> None:
-        action, pending[0] = pending[0], None
-        _alone(action)
-
-    barrier = threading.Barrier(threads, action=run_pending)
+    barrier = threading.Barrier(2, action=lambda: _alone(pending[0]))
 
     def sync(action=None) -> None:
-        pending[0] = action  # every thread passes the same action
+        pending[0] = action  # both threads pass the same action
         barrier.wait()
 
     errors: list[BaseException] = []
 
-    def run(block: int) -> None:
+    def run(rows: slice) -> None:
         try:
-            body(slice(side * block // threads, side * (block + 1) // threads), sync)
-        except BaseException as exc:  # a KeyboardInterrupt too must free the others
+            body(rows, sync)
+        except BaseException as exc:  # a KeyboardInterrupt too must free the other thread
             errors.append(exc)
             barrier.abort()
 
-    workers = [threading.Thread(target=contextvars.copy_context().run, args=(run, block))
-               for block in range(1, threads)]
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(run, slice(side // 2, side)))
+    worker.start()
     try:
-        for worker in workers:
-            worker.start()
-        run(0)
-    except BaseException:  # a worker that failed to start leaves the others waiting
-        barrier.abort()
-        raise
+        run(slice(0, side // 2))
     finally:
-        for worker in workers:
-            if worker.ident is not None:
-                worker.join()
+        worker.join()
     if errors:
-        # the threads that a failure left waiting raise BrokenBarrierError
+        # the thread that a failure left waiting raises BrokenBarrierError
         raise next((exc for exc in errors if not isinstance(exc, threading.BrokenBarrierError)), errors[0])
 
 
@@ -297,9 +283,9 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None, thread
     def iterate(rows: slice, sync) -> None:
         """The iterations on the block ``rows``, and on the spectrum rows of its
         DCT products, with views made here, once.  sync() waits for the other
-        blocks where a stage reads what they write; each norm runs on one
-        thread, over the whole buffer, while the others wait."""
-        spectral = [(rhs[part], weight[part], pinned[part]) for part in _spectrum_rows(side, rows)]
+        block where a stage reads what it writes; each norm runs on one
+        thread, over the whole buffer, while the other waits."""
+        rhs_part, weight_part, pinned_part = (a[_spectrum_rows(side, rows)] for a in (rhs, weight, pinned))
         gb, bb, db, db0, db1, shrunk = g[:, rows], b[:, rows], d[:, rows], d[0, rows], d[1, rows], slots[0, rows]
         g_and_b, g0, slot0, relax, threshold = fields[:2, :, rows], g[0], slots[0], 1.0 - RELAX, 1.0 / MU
         grad_x = _grad_steps(x, g[0], g[1], rows)
@@ -325,9 +311,8 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None, thread
         for i in range(config.max_iters):
             work, magb, dual = phases[i % 2]
             _dct2(rhs, out=rhs, work=work, rows=rows, sync=sync)
-            for part, weight_part, pinned_part in spectral:
-                np.multiply(part, weight_part, part)
-                np.add(part, pinned_part, part)
+            np.multiply(rhs_part, weight_part, rhs_part)
+            np.add(rhs_part, pinned_part, rhs_part)
             _idct2(rhs, out=x, work=work, rows=rows, sync=sync)
 
             # b becomes u = (b + (1 - RELAX) d) + RELAX grad x, and d is scratch

@@ -131,17 +131,17 @@ def _run_row(signal: Signal1D, config: SolverConfig, threads: int, ratio: float,
 
 def blas_thread_settings() -> dict[str, str | None]:
     """This environment's BLAS thread counts, in the order OpenBLAS reads them."""
-    return {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    return {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
 
 
 def thread_budget() -> int:
     """The threads that fit beside BLAS, whether they are the processes of
     a sweep or the threads of one solve: the CPUs this process may run on
-    over the BLAS threads of each.  With no thread count set, or one that
-    is not a positive integer, BLAS threads over every CPU itself and the
-    budget is 1."""
-    setting = next((value for value in blas_thread_settings().values() if value is not None), "")
-    threads = int(setting) if setting.isdecimal() else 0
+    over the BLAS threads of each.  BLAS takes the first thread count that
+    is a positive integer; with none, it threads over every CPU itself and
+    the budget is 1."""
+    counts = (int(value) for value in blas_thread_settings().values() if value and value.isdecimal())
+    threads = next((count for count in counts if count > 0), 0)
     if threads < 1:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1

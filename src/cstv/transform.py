@@ -75,11 +75,12 @@ def _parities(n: int, rows: slice) -> tuple[int, ...]:
     return tuple(parity for parity in (0, 1) if top <= parity * (n // 2) < end)
 
 
-def _spectrum_rows(n: int, rows: slice) -> tuple[slice, ...]:
+def _spectrum_rows(n: int, rows: slice) -> slice:
     """The rows of the spectrum that :func:`_dct2` writes and :func:`_idct2`
-    reads first on the thread with the block ``rows``."""
+    reads first on the thread with the block ``rows``: all of them, or
+    those of the one parity whose products it computes."""
     parities = _parities(n, rows)
-    return (slice(None),) if len(parities) == 2 else tuple(slice(parity, None, 2) for parity in parities)
+    return slice(None) if len(parities) == 2 else slice(parities[0], None, 2)
 
 
 def _fold_pass(a: Array, fold: Array, out: Array, rows: slice) -> None:
@@ -95,7 +96,7 @@ def _fold_pass(a: Array, fold: Array, out: Array, rows: slice) -> None:
         np.matmul(_half_bases(n)[parity], fold[parity].T, out=out[parity::2])
 
 
-def _unfold_pass(a: Array, fold: Array, out: Array, rows: slice, out_rows: tuple[slice, ...], sync) -> None:
+def _unfold_pass(a: Array, fold: Array, out: Array, rows: slice, out_rows: slice, sync) -> None:
     """out = a.T @ C, the inverse of :func:`_fold_pass`, in the rows
     ``out_rows`` of out.  fold, a (2, n, n/2) array, receives the even and
     the odd rows' shares of out's left half, each from the rows of a of a
@@ -106,9 +107,8 @@ def _unfold_pass(a: Array, fold: Array, out: Array, rows: slice, out_rows: tuple
     for parity in _parities(n, rows):
         np.matmul(a[parity::2].T, _half_bases(n)[parity], out=fold[parity])
     sync()
-    for part in out_rows:
-        np.add(fold[0, part], fold[1, part], out=out[part, :h])
-        np.subtract(fold[0, part], fold[1, part], out=out[part, ::-1][:, :h])
+    np.add(fold[0, out_rows], fold[1, out_rows], out=out[out_rows, :h])
+    np.subtract(fold[0, out_rows], fold[1, out_rows], out=out[out_rows, ::-1][:, :h])
 
 
 def _dct2(x: Array, out: Array | None = None, work=None, rows: slice = slice(None), sync=_alone) -> Array:
@@ -116,10 +116,10 @@ def _dct2(x: Array, out: Array | None = None, work=None, rows: slice = slice(Non
     sequence of three n x n scratch arrays apart from x and out (or one
     (3, n, n) array), holds C @ x, or the split's folds and first pass.
 
-    Where the transform splits (:func:`_splits`), threads that share x, out
-    and work may each call this with their own block ``rows`` of range(n),
-    once all of x is written, and a ``sync()`` that waits for all of them;
-    a thread writes the rows of out that :func:`_spectrum_rows` gives.  The
+    Where the transform splits (:func:`_splits`), two threads that share x,
+    out and work may each call this with its own half ``rows`` of range(n),
+    once all of x is written, and a ``sync()`` that waits for both; a
+    thread writes the rows of out that :func:`_spectrum_rows` gives.  The
     dense product runs on one thread."""
     n = x.shape[0]
     if not _splits(n):
@@ -152,9 +152,8 @@ def _idct2(y: Array, out: Array | None = None, work=None, rows: slice = slice(No
     # a thread makes the rows of the first pass that its products in the
     # second read, and those write their own folds, so no sync lies between
     # the passes; all of y is read before the first pass's sync
-    spectral = _spectrum_rows(n, rows)
-    _unfold_pass(y, fold.reshape(2, n, n // 2), between, rows, spectral, sync)
-    _unfold_pass(between, second_fold.reshape(2, n, n // 2), out, rows, (rows,), sync)
+    _unfold_pass(y, fold.reshape(2, n, n // 2), between, rows, _spectrum_rows(n, rows), sync)
+    _unfold_pass(between, second_fold.reshape(2, n, n // 2), out, rows, rows, sync)
     return out
 
 

@@ -18,6 +18,11 @@ from cstv.sweep import mse
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def env_with_src(**settings):
+    """This environment with the settings and the checkout's src on PYTHONPATH, for a fresh interpreter."""
+    return {**os.environ, **settings, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+
+
 def run_cli(*args):
     return main(list(args))
 
@@ -212,6 +217,7 @@ def test_sweep_parallel_serial_identical_bytes(tmp_path, monkeypatch):
 def test_sweep_sidecar_records_its_processes_and_blas_threads(tmp_path, monkeypatch):
     src = gen_csv(tmp_path / "sig.csv", "--kind", "ecg", "--n", "64", "--fs", "64", "--seed", "0")
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("GOTO_NUM_THREADS", raising=False)
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     out = tmp_path / "r.csv"
     # one (ratio, seed) pair: a second process would have no row to solve
@@ -219,7 +225,7 @@ def test_sweep_sidecar_records_its_processes_and_blas_threads(tmp_path, monkeypa
                    "--out", str(out)) == EXIT_OK
     sidecar = json.loads(out.with_suffix(".json").read_text())
     assert sidecar["workers"] == 1
-    assert sidecar["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}
+    assert sidecar["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None}
     # the one process's solves get the whole budget: a thread a CPU
     assert sidecar["solve_threads"] == len(os.sched_getaffinity(0))
     assert set(sidecar["env"]) == {"python", "numpy", "blas"}
@@ -229,8 +235,7 @@ def test_sweep_default_workers_write_the_serial_bytes(tmp_path):
     # with one BLAS thread a process, the default runs a process per CPU
     src = gen_csv(tmp_path / "sig.csv", "--kind", "ecg", "--n", "256", "--fs", "64", "--bpm", "60",
                   "--seed", "1")
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    env = env_with_src(OPENBLAS_NUM_THREADS="1")
     env.pop("OMP_NUM_THREADS", None)
     args = [sys.executable, "-m", "cstv.cli", "sweep", "--in", src, "--ratios", "0.5,1.0", "--seeds", "1,2"]
     runs = {"default": (), "serial": ("--workers", "1")}
@@ -328,7 +333,7 @@ def test_usage_error_exit_code():
 def test_usage_error_from_argparse_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "cstv.cli", "gen", "--kind", "bogus"],
-        capture_output=True,
+        capture_output=True, env=env_with_src(),
     )
     assert proc.returncode == EXIT_USAGE
     assert b"error: argument --kind" in proc.stderr
@@ -441,7 +446,7 @@ def test_samples_near_float_max_exit_with_solver_failure(tmp_path, capsys, text)
 def test_import_leaves_the_process_pool_unloaded():
     # only a parallel sweep needs it, and loading it slows every start-up
     code = "import sys, cstv.cli; sys.exit('concurrent.futures.process' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], env=env_with_src()).returncode == 0
 
 
 def test_a_sweep_call_leaves_numpy_ma_unloaded(tmp_path):
@@ -450,8 +455,7 @@ def test_a_sweep_call_leaves_numpy_ma_unloaded(tmp_path):
     argv = ["sweep", "--in", src, "--ratios", "0.5,1.0", "--seeds", "1,2", "--workers", "1",
             "--out", str(tmp_path / "o.csv")]
     code = f"import sys, cstv.cli; assert cstv.cli.main({argv!r}) == 0; print('numpy.ma' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], env=env_with_src(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
 

@@ -155,9 +155,15 @@ def test_sweep_calling_process_solves_every_workers_th_row(recording_pool):
     pytest.param({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2, id="openblas-read-first"),
     pytest.param({"OMP_NUM_THREADS": "0"}, 2, 1, id="zero"),
     pytest.param({"OPENBLAS_NUM_THREADS": "1"}, 8, 8, id="openblas-1-on-8-cpus"),
+    # OpenBLAS takes the first of its three variables that is a positive integer
+    pytest.param({"GOTO_NUM_THREADS": "1"}, 2, 2, id="goto-1-alone"),
+    pytest.param({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 2, id="openblas-0-then-omp"),
+    pytest.param({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, 2, 2, id="openblas-empty-then-omp"),
+    pytest.param({"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1"}, 4, 2, id="openblas-before-goto"),
+    pytest.param({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2, id="goto-before-omp"),
 ])
 def test_default_workers_fit_beside_blas(monkeypatch, settings, cpus, workers):
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     for var, value in settings.items():
         monkeypatch.setenv(var, value)
