@@ -16,8 +16,8 @@ import numpy as np
 from .generators import gen_ecg_like, gen_pressure_like, gen_respiration_like
 from .signal import Signal1D, SignalFormatError, load_signal_csv, reshape_to_image, save_signal_csv
 from .solver import SolverConfig, SolverFailure, load_solver_config
-from .sweep import (SweepSpec, checked_grid, mse, ratio_medians, recover_signal, run_sweep, thread_budget,
-                    write_report_csv, write_report_sidecar)
+from .sweep import (SweepSpec, blas_thread_settings, checked_grid, mse, ratio_medians, recover_signal, run_sweep,
+                    thread_budget, write_report_csv, write_report_sidecar)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -75,8 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--ratios", required=True, help="comma-separated, e.g. 0.3,0.5,0.9")
     swp.add_argument("--seeds", required=True, help="comma-separated mask seeds")
     swp.add_argument("--workers", type=int, default=thread_budget(),
-                     help="processes that solve rows, this one included (default here: %(default)s, the CPUs "
-                          "over OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS; 1 when neither is set)")
+                     help="processes that solve rows, this one included (default here: %(default)s, the CPUs over "
+                          f"the first of {', '.join(blas_thread_settings())} that is a positive integer; 1 if none is)")
     swp.set_defaults(handler=_cmd_sweep)
     return parser
 

@@ -36,11 +36,12 @@ one difference (:func:`_dual_steps`).  The norms are BLAS dot products.
 At even sides of THREAD_MIN_SIDE and up an iteration runs on two threads,
 the calling one included, when ``threads`` allows.  Each owns a block of
 image rows for the elementwise steps, grad and divergence, and one parity
-of spectrum rows for the DCT products, each of which it computes whole.
-They meet at a barrier only where a step reads rows that the other wrote,
-inside the DCT pair and at the one-row halo of grad and the divergences,
-and at each norm, which one thread takes over the whole buffer.  So every
-value, the stop included, is the same to the byte on one thread or two.
+of spectrum rows, whose DCT products it computes whole and whose values it
+writes in both transforms and the spectral steps.  They meet at a barrier
+only where a step reads rows that the other wrote, inside the DCT pair and
+at the one-row halo of grad and the divergences, and at each norm, which
+one thread takes over the whole buffer.  So every value, the stop included,
+is the same to the byte on one thread or two.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from .sampling import MeasurementSet
-from .transform import _alone, _dct2, _idct2, _spectrum_rows, _splits
+from .transform import _alone, _dct2, _idct2, _splits
 
 Array = np.ndarray
 
@@ -200,18 +201,19 @@ def _norm(a: Array) -> float:
 
 
 def _on_threads(side: int, threads: int, body) -> None:
-    """Run body(rows, sync) on this thread over all rows of a side x side
-    image when ``threads`` is 1, else on this thread and one more, each
-    over its own half of the rows.  sync(action) waits until both threads
-    have called it, then runs action, if any, on one of them before either
-    goes on; on one thread it runs action at once.
+    """Run body(rows, spectrum, sync) on this thread over all rows of a
+    side x side image and of its spectrum when ``threads`` is 1, else on
+    this thread and one more, each over its own half of the image rows and
+    its own parity of the spectrum rows.  sync(action) waits until both
+    threads have called it, then runs action, if any, on one of them before
+    either goes on; on one thread it runs action at once.
 
     The second thread starts here, runs in a copy of this thread's context
     (numpy's error state is part of it) and is joined before this returns.
     An exception in either thread breaks the barrier, so that the other
     does not wait for ever, and is raised here."""
     if threads == 1:
-        body(slice(0, side), _alone)
+        body(slice(0, side), slice(None), _alone)
         return
     pending = [None]
     barrier = threading.Barrier(2, action=lambda: _alone(pending[0]))
@@ -222,17 +224,18 @@ def _on_threads(side: int, threads: int, body) -> None:
 
     errors: list[BaseException] = []
 
-    def run(rows: slice) -> None:
+    def run(rows: slice, spectrum: slice) -> None:
         try:
-            body(rows, sync)
+            body(rows, spectrum, sync)
         except BaseException as exc:  # a KeyboardInterrupt too must free the other thread
             errors.append(exc)
             barrier.abort()
 
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(run, slice(side // 2, side)))
+    worker = threading.Thread(target=contextvars.copy_context().run,
+                              args=(run, slice(side // 2, side), slice(1, None, 2)))
     worker.start()
     try:
-        run(slice(0, side // 2))
+        run(slice(0, side // 2), slice(0, None, 2))
     finally:
         worker.join()
     if errors:
@@ -280,12 +283,12 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None, thread
     norms: dict[str, float] = {}
     stop: list[int] = []
 
-    def iterate(rows: slice, sync) -> None:
-        """The iterations on the block ``rows``, and on the spectrum rows of its
-        DCT products, with views made here, once.  sync() waits for the other
-        block where a stage reads what it writes; each norm runs on one
-        thread, over the whole buffer, while the other waits."""
-        rhs_part, weight_part, pinned_part = (a[_spectrum_rows(side, rows)] for a in (rhs, weight, pinned))
+    def iterate(rows: slice, spectrum: slice, sync) -> None:
+        """The iterations on the block ``rows`` of the image and the rows
+        ``spectrum`` of its spectrum, with views made here, once.  sync()
+        waits for the other thread where a stage reads what it writes; each
+        norm runs on one thread, over the whole buffer, while the other waits."""
+        rhs_part, weight_part, pinned_part = rhs[spectrum], weight[spectrum], pinned[spectrum]
         gb, bb, db, db0, db1, shrunk = g[:, rows], b[:, rows], d[:, rows], d[0, rows], d[1, rows], slots[0, rows]
         g_and_b, g0, slot0, relax, threshold = fields[:2, :, rows], g[0], slots[0], 1.0 - RELAX, 1.0 / MU
         grad_x = _grad_steps(x, g[0], g[1], rows)
@@ -310,10 +313,10 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None, thread
 
         for i in range(config.max_iters):
             work, magb, dual = phases[i % 2]
-            _dct2(rhs, out=rhs, work=work, rows=rows, sync=sync)
+            _dct2(rhs, out=rhs, work=work, spectrum=spectrum, sync=sync)
             np.multiply(rhs_part, weight_part, rhs_part)
             np.add(rhs_part, pinned_part, rhs_part)
-            _idct2(rhs, out=x, work=work, rows=rows, sync=sync)
+            _idct2(rhs, out=x, work=work, spectrum=spectrum, sync=sync)
 
             # b becomes u = (b + (1 - RELAX) d) + RELAX grad x, and d is scratch
             # until it is remade; magb holds |u| per pixel, then the factor that

@@ -209,7 +209,7 @@ def environment() -> dict:
     """The Python, numpy and BLAS versions this process runs."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy before 1.25 only prints its config
+    except KeyError:  # a build that names no BLAS
         blas = {}
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": {"name": blas.get("name"), "version": blas.get("version")}}

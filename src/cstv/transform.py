@@ -66,61 +66,45 @@ def _alone(action=None) -> None:
         action()
 
 
-def _parities(n: int, rows: slice) -> tuple[int, ...]:
-    """The parities of the spectrum rows whose products the thread with the
-    block ``rows`` computes: 0 if the block holds row 0, 1 if it holds row
-    n // 2.  Each product is computed whole, by one thread, so the bytes do
-    not depend on the number of threads."""
-    top, end, _ = rows.indices(n)
-    return tuple(parity for parity in (0, 1) if top <= parity * (n // 2) < end)
-
-
-def _spectrum_rows(n: int, rows: slice) -> slice:
-    """The rows of the spectrum that :func:`_dct2` writes and :func:`_idct2`
-    reads first on the thread with the block ``rows``: all of them, or
-    those of the one parity whose products it computes."""
-    parities = _parities(n, rows)
-    return slice(None) if len(parities) == 2 else slice(parities[0], None, 2)
-
-
-def _fold_pass(a: Array, fold: Array, out: Array, rows: slice) -> None:
-    """out = C @ a.T, in the rows of out of the parities of the block
-    ``rows``.  Column i of a and its mirror n-1-i enter the even rows of the
+def _fold_pass(a: Array, fold: Array, out: Array, spectrum: slice) -> None:
+    """out = C @ a.T, in the rows ``spectrum`` of out: every row, or one
+    parity's.  Column i of a and its mirror n-1-i enter the even rows of the
     product as their sum and the odd rows as their difference; fold is a
     (2, n, n/2) array that holds the two.  All of a is read."""
     n = a.shape[0]
     h = n // 2
     left, mirror = a[:, :h], a[:, ::-1][:, :h]
-    for parity in _parities(n, rows):
+    for parity in range(2)[spectrum]:  # both parities, or the one that spectrum holds
         (np.add, np.subtract)[parity](left, mirror, out=fold[parity])
         np.matmul(_half_bases(n)[parity], fold[parity].T, out=out[parity::2])
 
 
-def _unfold_pass(a: Array, fold: Array, out: Array, rows: slice, out_rows: slice, sync) -> None:
+def _unfold_pass(a: Array, fold: Array, out: Array, spectrum: slice, sync) -> None:
     """out = a.T @ C, the inverse of :func:`_fold_pass`, in the rows
-    ``out_rows`` of out.  fold, a (2, n, n/2) array, receives the even and
+    ``spectrum`` of out.  fold, a (2, n, n/2) array, receives the even and
     the odd rows' shares of out's left half, each from the rows of a of a
-    parity of the block ``rows``, and sync() waits for both: their sum is
-    that half, their difference its mirror image."""
+    parity in ``spectrum``, and sync() waits for both: their sum is that
+    half, their difference its mirror image."""
     n = a.shape[0]
     h = n // 2
-    for parity in _parities(n, rows):
+    for parity in range(2)[spectrum]:
         np.matmul(a[parity::2].T, _half_bases(n)[parity], out=fold[parity])
     sync()
-    np.add(fold[0, out_rows], fold[1, out_rows], out=out[out_rows, :h])
-    np.subtract(fold[0, out_rows], fold[1, out_rows], out=out[out_rows, ::-1][:, :h])
+    np.add(fold[0, spectrum], fold[1, spectrum], out=out[spectrum, :h])
+    np.subtract(fold[0, spectrum], fold[1, spectrum], out=out[spectrum, ::-1][:, :h])
 
 
-def _dct2(x: Array, out: Array | None = None, work=None, rows: slice = slice(None), sync=_alone) -> Array:
+def _dct2(x: Array, out: Array | None = None, work=None, spectrum: slice = slice(None), sync=_alone) -> Array:
     """C @ x @ C.T, written to out, which may be x.  work, an optional
     sequence of three n x n scratch arrays apart from x and out (or one
     (3, n, n) array), holds C @ x, or the split's folds and first pass.
 
     Where the transform splits (:func:`_splits`), two threads that share x,
-    out and work may each call this with its own half ``rows`` of range(n),
-    once all of x is written, and a ``sync()`` that waits for both; a
-    thread writes the rows of out that :func:`_spectrum_rows` gives.  The
-    dense product runs on one thread."""
+    out and work may each call this once all of x is written, one with
+    ``spectrum`` slice(0, None, 2) and one with slice(1, None, 2), and a
+    ``sync()`` that waits for both.  A thread computes the products of its
+    parity of spectrum rows and writes those rows of out.  The dense
+    product runs on one thread."""
     n = x.shape[0]
     if not _splits(n):
         fold = None if work is None else work[0]
@@ -129,20 +113,20 @@ def _dct2(x: Array, out: Array | None = None, work=None, rows: slice = slice(Non
     fold, between = np.empty((2, n, n)) if work is None else work[:2]
     # the first pass reads all of x, so the second may overwrite it
     fold = fold.reshape(2, n, n // 2)
-    _fold_pass(x, fold, between, rows)
+    _fold_pass(x, fold, between, spectrum)
     sync()
-    _fold_pass(between, fold, out, rows)
+    _fold_pass(between, fold, out, spectrum)
     return out
 
 
-def _idct2(y: Array, out: Array | None = None, work=None, rows: slice = slice(None), sync=_alone) -> Array:
+def _idct2(y: Array, out: Array | None = None, work=None, spectrum: slice = slice(None), sync=_alone) -> Array:
     """C.T @ y @ C, written to out, which may be y.  work, an optional
     sequence of three n x n scratch arrays apart from y and out (or one
     (3, n, n) array), holds C.T @ y, or the split's folds and first pass.
 
     Threads call it as they call :func:`_dct2`, except that a thread needs
-    only the rows of y that :func:`_spectrum_rows` gives to be written,
-    and writes the rows ``rows`` of out."""
+    only the rows ``spectrum`` of y to be written, and writes the rows
+    ``spectrum`` of out."""
     n = y.shape[0]
     if not _splits(n):
         c = _dct_basis(n)
@@ -152,8 +136,8 @@ def _idct2(y: Array, out: Array | None = None, work=None, rows: slice = slice(No
     # a thread makes the rows of the first pass that its products in the
     # second read, and those write their own folds, so no sync lies between
     # the passes; all of y is read before the first pass's sync
-    _unfold_pass(y, fold.reshape(2, n, n // 2), between, rows, _spectrum_rows(n, rows), sync)
-    _unfold_pass(between, second_fold.reshape(2, n, n // 2), out, rows, rows, sync)
+    _unfold_pass(y, fold.reshape(2, n, n // 2), between, spectrum, sync)
+    _unfold_pass(between, second_fold.reshape(2, n, n // 2), out, spectrum, sync)
     return out
 
 

@@ -13,7 +13,7 @@ from cstv.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main, write_pgm
 from cstv.generators import gen_ecg_like
 from cstv.signal import Signal1D, load_signal_csv, save_signal_csv
 from cstv.solver import SolverConfig, SolverFailure, load_solver_config
-from cstv.sweep import mse
+from cstv.sweep import blas_thread_settings, mse
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -342,6 +342,12 @@ def test_usage_error_from_argparse_subprocess():
 def test_help_returns_ok(capsys):
     assert run_cli("--help") == EXIT_OK
     assert "usage: cstv" in capsys.readouterr().out
+
+
+def test_sweep_help_names_every_blas_thread_variable(capsys):
+    assert run_cli("sweep", "--help") == EXIT_OK
+    text = " ".join(capsys.readouterr().out.split())
+    assert all(var in text for var in blas_thread_settings())
 
 
 # the missing --in would exit 3: exit 1 shows the flag was checked before any read

@@ -64,7 +64,8 @@ def test_threads_by_row_blocks_give_the_bytes_of_one(side, threads):
             a = x.copy()
             out = a if in_place else np.full((side, side), np.nan)
             work = np.full((3, side, side), np.nan)
-            _on_threads(side, threads, lambda rows, sync: fn(a, out=out, work=work, rows=rows, sync=sync))
+            _on_threads(side, threads,
+                        lambda rows, spectrum, sync: fn(a, out=out, work=work, spectrum=spectrum, sync=sync))
             assert out.tobytes() == expected
 
 
@@ -75,9 +76,9 @@ def test_threaded_pair_holds_with_frequent_switches():
     x = np.random.default_rng(0).normal(size=(side, side))
     expected = _idct2(_dct2(x)).tobytes()
 
-    def pair(rows, sync):
-        _dct2(a, out=a, work=work, rows=rows, sync=sync)
-        _idct2(a, out=a, work=work, rows=rows, sync=sync)
+    def pair(rows, spectrum, sync):
+        _dct2(a, out=a, work=work, spectrum=spectrum, sync=sync)
+        _idct2(a, out=a, work=work, spectrum=spectrum, sync=sync)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
