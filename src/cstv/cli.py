@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--seeds", required=True, help="comma-separated mask seeds")
     swp.add_argument("--workers", type=int, default=thread_budget(),
                      help="processes that solve rows, this one included (default here: %(default)s, the CPUs over "
-                          f"the first of {', '.join(blas_thread_settings())} that is a positive integer; 1 if none is)")
+                          f"the first of {', '.join(blas_thread_settings())} that C's atoi reads as above 0; 1 if none is)")
     swp.set_defaults(handler=_cmd_sweep)
     return parser
 

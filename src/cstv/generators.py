@@ -64,7 +64,7 @@ def gen_ecg_like(
     t = np.arange(n, dtype=np.float64) / fs
     period = 60.0 / bpm
     x = np.zeros(n, dtype=np.float64)
-    n_beats = int(np.ceil(t[-1] / period)) + 2 if n > 1 else 2
+    n_beats = int(np.ceil(t[-1] / period)) + 2
     for b in range(n_beats):
         t_r = (b + 0.5) * period
         for amp, off, width in ECG_COMPONENTS:

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import platform
+import re
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -137,10 +138,11 @@ def blas_thread_settings() -> dict[str, str | None]:
 def thread_budget() -> int:
     """The threads that fit beside BLAS, whether they are the processes of
     a sweep or the threads of one solve: the CPUs this process may run on
-    over the BLAS threads of each.  BLAS takes the first thread count that
-    is a positive integer; with none, it threads over every CPU itself and
-    the budget is 1."""
-    counts = (int(value) for value in blas_thread_settings().values() if value and value.isdecimal())
+    over the BLAS threads of each.  BLAS reads each count as C's atoi does
+    and takes the first above 0; with none, it threads over every CPU itself
+    and the budget is 1."""
+    matches = (re.match(r"[ \t\n\v\f\r]*([+-]?[0-9]+)", value or "") for value in blas_thread_settings().values())
+    counts = (int(match[1]) for match in matches if match)
     threads = next((count for count in counts if count > 0), 0)
     if threads < 1:
         return 1

@@ -89,25 +89,25 @@ def test_out_forms_match_allocating_forms_on_dirty_buffers(side):
 @pytest.mark.parametrize("side", [1, 2, 5, 64, 129])
 def test_stacked_divergences_and_differences_match_the_per_field_forms(side):
     # the solver's iterations write div b and div d of the stacked pair
-    # (b, d) to slots that alternate with the iteration's parity, and each
-    # pair of differences in one subtract; blocks at row 0, inside and at
-    # the last row, each made once and run on every iteration, give the
-    # bytes of the per-field forms
+    # (b, d) to slots 0 and 1, each pair of differences in one subtract, and
+    # div d to slot 2 for the next; blocks at row 0, inside and at the last
+    # row, each made once and run on every iteration, give the bytes of the
+    # per-field forms
     rng = np.random.default_rng(side)
     cuts = sorted({0, 1, side // 2, side - 1, side})
     fields, slots = np.full((3, 2, side, side), np.nan), np.full((3, side, side), np.nan)
     d_prev = rng.normal(size=(2, side, side))
     slots[2] = divergence(*d_prev)
     blocks = [_dual_steps(fields, slots, slice(top, end)) for top, end in zip(cuts, cuts[1:])]
-    for i in range(4):
+    for _ in range(4):
         fields[1:] = rng.normal(size=(2, 2, side, side))
         for steps in blocks:
-            _run(steps[i % 2])
+            _run(steps)
         (g, b, d), div_b, div_d = fields, divergence(*fields[1]), divergence(*fields[2])
         assert div_b.tobytes() == _divergence(*b).tobytes() == slots[0].tobytes()
-        assert div_d.tobytes() == _divergence(*d).tobytes() == slots[1 + i % 2].tobytes()
-        assert g[0].tobytes() == (div_d - divergence(*d_prev)).tobytes()
-        assert g[1].tobytes() == (div_b - div_d).tobytes()
+        assert div_d.tobytes() == _divergence(*d).tobytes() == slots[1].tobytes() == slots[2].tobytes()
+        assert g[0].tobytes() == (div_b - div_d).tobytes()
+        assert g[1].tobytes() == (div_d - divergence(*d_prev)).tobytes()
         d_prev = d.copy()
 
 
@@ -383,6 +383,7 @@ def test_full_sampling_returns_the_start_without_iterating(meas):
     result = assert_matches_reference(meas, SolverConfig())
     assert result.converged and result.iters_used == 0 and result.residuals == ()
     assert result.image.tobytes() == result.start.tobytes()
+    assert not np.shares_memory(result.image, result.start)
 
 
 def test_result_equality_is_identity_and_hash_works():

@@ -155,12 +155,19 @@ def test_sweep_calling_process_solves_every_workers_th_row(recording_pool):
     pytest.param({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2, id="openblas-read-first"),
     pytest.param({"OMP_NUM_THREADS": "0"}, 2, 1, id="zero"),
     pytest.param({"OPENBLAS_NUM_THREADS": "1"}, 8, 8, id="openblas-1-on-8-cpus"),
-    # OpenBLAS takes the first of its three variables that is a positive integer
+    # OpenBLAS takes the first of its three variables whose count is above 0
     pytest.param({"GOTO_NUM_THREADS": "1"}, 2, 2, id="goto-1-alone"),
     pytest.param({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 2, id="openblas-0-then-omp"),
     pytest.param({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, 2, 2, id="openblas-empty-then-omp"),
     pytest.param({"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1"}, 4, 2, id="openblas-before-goto"),
     pytest.param({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2, id="goto-before-omp"),
+    # and reads each with C's atoi: white space and a sign may lead, ASCII
+    # digits count and what follows them is ignored, so an Arabic-Indic one
+    # is 0 and leaves BLAS threading over every CPU
+    *(pytest.param({"OPENBLAS_NUM_THREADS": value}, 2, workers, id=f"atoi-{value!r}")
+      for value, workers in [("1", 2), (" 1", 2), ("1 ", 2), ("1x", 2), ("+1", 2), ("01", 2),
+                             ("2 ", 1), ("0", 1), ("-1", 1), ("abc", 1), ("\u0661", 1)]),
+    pytest.param({"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": " 1"}, 2, 2, id="atoi-unparsed-then-omp"),
 ])
 def test_default_workers_fit_beside_blas(monkeypatch, settings, cpus, workers):
     for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
