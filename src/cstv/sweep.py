@@ -221,8 +221,9 @@ def write_report_sidecar(rows: tuple[SweepRow, ...], spec: SweepSpec, path: str 
     """Provenance sidecar: spec, solver config, version, medians (also of
     the zero-filled starts), per-row start MSE, final TV and wall time, the
     processes that solved the rows (``workers``, capped as run_sweep caps
-    it), the threads each solve could use (``solve_threads``), the BLAS
-    thread settings and the versions (``env``) of this environment.
+    it), the threads each solve could use (``solve_threads``), the dtype
+    its iterations ran in (``solve_dtype``), the BLAS thread settings and
+    the versions (``env``) of this environment.
     A failed row's NaN, and any other value that is not finite, is written
     as null, so the file is strict JSON."""
     payload = {
@@ -239,6 +240,7 @@ def write_report_sidecar(rows: tuple[SweepRow, ...], spec: SweepSpec, path: str 
         "wall_time_rows": [r.wall_time for r in rows],
         "workers": min(workers, len(rows)),
         "solve_threads": solve_threads(min(workers, len(rows))),
+        "solve_dtype": spec.solver.dtype.name,
         "blas_threads": blas_thread_settings(),
         "env": environment(),
     }

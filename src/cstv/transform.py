@@ -1,9 +1,10 @@
 """Orthonormal 2D DCT-II, its inverse, and zig-zag coefficient ordering.
 
-Images and spectra are plain square float64 arrays.  The transform is
-computed as separable matrix products against a cached cosine basis C.
-Orthonormal scaling makes the transform an isometry, so overwriting
-coefficients is an exact Euclidean projection in image space.
+Images and spectra are plain square float arrays, float64 or float32, and
+a transform returns its input's dtype.  It is computed as separable matrix
+products against a cosine basis C, cached per side and dtype.  Orthonormal
+scaling makes the transform an isometry, so overwriting coefficients is an
+exact Euclidean projection in image space.
 
 At even sides of SPLIT_MIN_SIDE and up, each pass of the separable product
 uses the even/odd split of the basis (Chen, Smith & Fralick 1977; Makhoul
@@ -28,28 +29,30 @@ SPLIT_MIN_SIDE = 128
 
 
 @lru_cache(maxsize=None)
-def _dct_basis(n: int) -> Array:
-    """Orthonormal DCT-II basis matrix C with C @ C.T == I."""
+def _dct_basis(n: int, dtype: np.dtype = np.dtype(np.float64)) -> Array:
+    """Orthonormal DCT-II basis matrix C with C @ C.T == I, computed in
+    float64 and rounded to dtype."""
     k = np.arange(n, dtype=np.float64)[:, None]
     i = np.arange(n, dtype=np.float64)[None, :]
     basis = np.sqrt(2.0 / n) * np.cos(np.pi * (2.0 * i + 1.0) * k / (2.0 * n))
     basis[0, :] /= np.sqrt(2.0)
+    basis = basis.astype(dtype, copy=False)
     basis.setflags(write=False)
     return basis
 
 
 @lru_cache(maxsize=None)
-def _dct_basis_t(n: int) -> Array:
+def _dct_basis_t(n: int, dtype: np.dtype = np.dtype(np.float64)) -> Array:
     """C.T, C-contiguous: matmul takes it faster than the view as a right operand."""
-    basis_t = np.ascontiguousarray(_dct_basis(n).T)
+    basis_t = np.ascontiguousarray(_dct_basis(n, dtype).T)
     basis_t.setflags(write=False)
     return basis_t
 
 
 @lru_cache(maxsize=None)
-def _half_bases(n: int) -> tuple[Array, Array]:
+def _half_bases(n: int, dtype: np.dtype = np.dtype(np.float64)) -> tuple[Array, Array]:
     """The left halves C[0::2, :n/2] and C[1::2, :n/2] of the even and odd rows of C."""
-    halves = tuple(np.ascontiguousarray(_dct_basis(n)[parity::2, : n // 2]) for parity in (0, 1))
+    halves = tuple(np.ascontiguousarray(_dct_basis(n, dtype)[parity::2, : n // 2]) for parity in (0, 1))
     for half in halves:
         half.setflags(write=False)
     return halves
@@ -76,7 +79,7 @@ def _fold_pass(a: Array, fold: Array, out: Array, spectrum: slice) -> None:
     left, mirror = a[:, :h], a[:, ::-1][:, :h]
     for parity in range(2)[spectrum]:  # both parities, or the one that spectrum holds
         (np.add, np.subtract)[parity](left, mirror, out=fold[parity])
-        np.matmul(_half_bases(n)[parity], fold[parity].T, out=out[parity::2])
+        np.matmul(_half_bases(n, a.dtype)[parity], fold[parity].T, out=out[parity::2])
 
 
 def _unfold_pass(a: Array, fold: Array, out: Array, spectrum: slice, sync) -> None:
@@ -88,16 +91,16 @@ def _unfold_pass(a: Array, fold: Array, out: Array, spectrum: slice, sync) -> No
     n = a.shape[0]
     h = n // 2
     for parity in range(2)[spectrum]:
-        np.matmul(a[parity::2].T, _half_bases(n)[parity], out=fold[parity])
+        np.matmul(a[parity::2].T, _half_bases(n, a.dtype)[parity], out=fold[parity])
     sync()
     np.add(fold[0, spectrum], fold[1, spectrum], out=out[spectrum, :h])
     np.subtract(fold[0, spectrum], fold[1, spectrum], out=out[spectrum, ::-1][:, :h])
 
 
 def _dct2(x: Array, out: Array | None = None, work=None, spectrum: slice = slice(None), sync=_alone) -> Array:
-    """C @ x @ C.T, written to out, which may be x.  work, an optional
-    sequence of three n x n scratch arrays apart from x and out (or one
-    (3, n, n) array), holds C @ x, or the split's folds and first pass.
+    """C @ x @ C.T in x's dtype, written to out, which may be x.  work, an
+    optional sequence of three n x n scratch arrays apart from x and out (or
+    one (3, n, n) array), holds C @ x, or the split's folds and first pass.
 
     Where the transform splits (:func:`_splits`), two threads that share x,
     out and work may each call this once all of x is written, one with
@@ -108,9 +111,9 @@ def _dct2(x: Array, out: Array | None = None, work=None, spectrum: slice = slice
     n = x.shape[0]
     if not _splits(n):
         fold = None if work is None else work[0]
-        return np.matmul(np.matmul(_dct_basis(n), x, out=fold), _dct_basis_t(n), out=out)
-    out = np.empty((n, n)) if out is None else out
-    fold, between = np.empty((2, n, n)) if work is None else work[:2]
+        return np.matmul(np.matmul(_dct_basis(n, x.dtype), x, out=fold), _dct_basis_t(n, x.dtype), out=out)
+    out = np.empty((n, n), x.dtype) if out is None else out
+    fold, between = np.empty((2, n, n), x.dtype) if work is None else work[:2]
     # the first pass reads all of x, so the second may overwrite it
     fold = fold.reshape(2, n, n // 2)
     _fold_pass(x, fold, between, spectrum)
@@ -120,19 +123,19 @@ def _dct2(x: Array, out: Array | None = None, work=None, spectrum: slice = slice
 
 
 def _idct2(y: Array, out: Array | None = None, work=None, spectrum: slice = slice(None), sync=_alone) -> Array:
-    """C.T @ y @ C, written to out, which may be y.  work, an optional
-    sequence of three n x n scratch arrays apart from y and out (or one
-    (3, n, n) array), holds C.T @ y, or the split's folds and first pass.
+    """C.T @ y @ C in y's dtype, written to out, which may be y.  work, an
+    optional sequence of three n x n scratch arrays apart from y and out (or
+    one (3, n, n) array), holds C.T @ y, or the split's folds and first pass.
 
     Threads call it as they call :func:`_dct2`, except that a thread needs
     only the rows ``spectrum`` of y to be written, and writes the rows
     ``spectrum`` of out."""
     n = y.shape[0]
     if not _splits(n):
-        c = _dct_basis(n)
+        c = _dct_basis(n, y.dtype)
         return np.matmul(np.matmul(c.T, y, out=None if work is None else work[0]), c, out=out)
-    out = np.empty((n, n)) if out is None else out
-    fold, between, second_fold = np.empty((3, n, n)) if work is None else work
+    out = np.empty((n, n), y.dtype) if out is None else out
+    fold, between, second_fold = np.empty((3, n, n), y.dtype) if work is None else work
     # a thread makes the rows of the first pass that its products in the
     # second read, and those write their own folds, so no sync lies between
     # the passes; all of y is read before the first pass's sync

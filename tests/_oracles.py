@@ -103,14 +103,25 @@ def _divergence(gx, gy):
     return div
 
 
-def admm_reference(meas, config: SolverConfig) -> ReconstructionResult:
+def _norm(a):
+    """The Euclidean norm as the solver takes it: a dot product in a's
+    dtype, its square root in float64."""
+    v = a.ravel()
+    return math.sqrt(v @ v)
+
+
+def admm_reference(meas, config: SolverConfig, dtype=None) -> ReconstructionResult:
     """The scaled, over-relaxed split-Bregman solve, allocating every
     intermediate and taking div(d) afresh each time it is needed.
 
     Same iteration, stopping test, residual record and failure rule as
     ``reconstruct``, with its arithmetic in the same order (the forward DCT
-    multiplies by the same C-contiguous copy of C.T); TV is :func:`naive_tv`.
+    multiplies by the same C-contiguous copy of C.T) and in the same dtype,
+    ``config.dtype`` unless ``dtype`` is given; DC held at 0 in the
+    iterations and the float64 re-pin after them, as there.  TV is
+    :func:`naive_tv`.
     """
+    dtype = np.dtype(config.dtype if dtype is None else dtype)
     rows, cols = meas.mask.rows, meas.mask.cols
     side = meas.mask.side
     c, ct = _dct_basis(side), _dct_basis_t(side)
@@ -128,33 +139,37 @@ def admm_reference(meas, config: SolverConfig) -> ReconstructionResult:
     x = start
     iters_used, converged, residuals = 0, True, []
     if scale != 0.0 and np.any(weight != 0.0):
-        pinned = spec0 / scale
-        x = start / scale
-        d = np.zeros((2, side, side))
-        b = np.zeros((2, side, side))
+        weight = weight.astype(dtype)
+        pinned = (spec0 / scale).astype(dtype)
+        pinned[0, 0] = 0.0
+        c_loop, ct_loop = _dct_basis(side, dtype), _dct_basis_t(side, dtype)
+        d = np.zeros((2, side, side), dtype)
+        b = np.zeros((2, side, side), dtype)
         iters_used, converged = config.max_iters, False
         for k in range(1, config.max_iters + 1):
             rhs = _divergence(*b) - _divergence(*d)
-            x = c.T @ ((c @ rhs @ ct) * weight + pinned) @ c
+            x = c_loop.T @ ((c_loop @ rhs @ ct_loop) * weight + pinned) @ c_loop
 
             g = np.stack(_grad(x))
             u = (b + (1.0 - RELAX) * d) + RELAX * g
             mag = np.sqrt(u[0] * u[0] + u[1] * u[1])
             shrunk = np.maximum(mag - 1.0 / MU, 0.0)
             d_new = u * (shrunk / np.maximum(mag, 1.0 / MU))
-            primal = float(np.linalg.norm(g - d_new))
-            primal_scale = max(float(np.linalg.norm(g)), float(np.linalg.norm(shrunk)))
-            dual = MU * float(np.linalg.norm(_divergence(*d_new) - _divergence(*d)))
+            primal = _norm(g - d_new)
+            primal_scale = max(_norm(g), _norm(shrunk))
+            dual = MU * _norm(_divergence(*d_new) - _divergence(*d))
             b = u - d_new
             d = d_new
-            dual_scale = MU * float(np.linalg.norm(_divergence(*b)))
+            dual_scale = MU * _norm(_divergence(*b))
             residuals.append((primal, primal_scale, dual, dual_scale))
             if not all(map(math.isfinite, (primal, primal_scale, dual, dual_scale))):
                 raise SolverFailure(k, tuple(residuals))
             if primal <= config.tol * primal_scale and dual <= config.tol * dual_scale:
                 iters_used, converged = k, True
                 break
-        x = x * scale
+        spectrum = c @ (x.astype(np.float64) * scale) @ ct
+        spectrum[rows, cols] = meas.values
+        x = c.T @ spectrum @ c
 
     return ReconstructionResult(
         image=x,

@@ -229,6 +229,13 @@ def test_sweep_sidecar_records_its_processes_and_blas_threads(tmp_path, monkeypa
     # the one process's solves get the whole budget: a thread a CPU
     assert sidecar["solve_threads"] == len(os.sched_getaffinity(0))
     assert set(sidecar["env"]) == {"python", "numpy", "blas"}
+    # the iterations' precision follows tol
+    assert sidecar["solve_dtype"] == "float32"
+    tight = tmp_path / "tight.cfg"
+    tight.write_text("tol = 1e-12\n")
+    assert run_cli("sweep", "--in", src, "--ratios", "1.0", "--seeds", "1", "--solver", str(tight),
+                   "--out", str(out)) == EXIT_OK
+    assert json.loads(out.with_suffix(".json").read_text())["solve_dtype"] == "float64"
 
 
 def test_sweep_default_workers_write_the_serial_bytes(tmp_path):

@@ -65,25 +65,28 @@ def test_grad_single_pixel():
 @pytest.mark.parametrize("side", [1, 2, 7, 16])
 def test_out_forms_match_allocating_forms_on_dirty_buffers(side):
     rng = np.random.default_rng(side)
-    x = rng.normal(size=(side, side))
-    px, py = rng.normal(size=(side, side)), rng.normal(size=(side, side))
-    gx, gy = grad(x)
-    assert np.all(gx[-1, :] == 0.0) and np.all(gy[:, -1] == 0.0)
-    div = divergence(px, py)
-    # py's trailing column is not zero, so the flat pass wraps non-zero
-    # differences into column 0; the strided formula must still hold exactly
-    assert np.all(py[:, -1] != 0.0)
-    assert div.tobytes() == _divergence(px, py).tobytes()
-    # the solver's threads each run the steps of one block of rows, bound
-    # to the iteration's buffers: blocks that cover the rows in any split
-    # give the whole form's bytes
-    for cuts in {(0, side), (0, side // 2, side), (0, 1, side - 1, side)}:
-        out_x, out_y, out_div = np.full((3, side, side), np.nan)
-        for top, end in zip(cuts, cuts[1:]):
-            _run(_grad_steps(x, out_x, out_y, slice(top, end)))
-            _run(_divergence_steps(px, py, out_div, slice(top, end)))
-        assert out_x.tobytes() + out_y.tobytes() == gx.tobytes() + gy.tobytes()
-        assert out_div.tobytes() == div.tobytes()
+    arrays = [rng.normal(size=(side, side)) for _ in range(3)]
+    # the solve iterates in float32 at the default tol, in float64 below it
+    for dtype in (np.float64, np.float32):
+        x, px, py = (a.astype(dtype) for a in arrays)
+        gx, gy = grad(x)
+        assert np.all(gx[-1, :] == 0.0) and np.all(gy[:, -1] == 0.0)
+        div = divergence(px, py)
+        assert gx.dtype == gy.dtype == div.dtype == dtype
+        # py's trailing column is not zero, so the flat pass wraps non-zero
+        # differences into column 0; the strided formula must still hold exactly
+        assert np.all(py[:, -1] != 0.0)
+        assert div.tobytes() == _divergence(px, py).tobytes()
+        # the solver's threads each run the steps of one block of rows, bound
+        # to the iteration's buffers: blocks that cover the rows in any split
+        # give the whole form's bytes
+        for cuts in {(0, side), (0, side // 2, side), (0, 1, side - 1, side)}:
+            out_x, out_y, out_div = np.full((3, side, side), np.nan, dtype)
+            for top, end in zip(cuts, cuts[1:]):
+                _run(_grad_steps(x, out_x, out_y, slice(top, end)))
+                _run(_divergence_steps(px, py, out_div, slice(top, end)))
+            assert out_x.tobytes() + out_y.tobytes() == gx.tobytes() + gy.tobytes()
+            assert out_div.tobytes() == div.tobytes()
 
 
 @pytest.mark.parametrize("side", [1, 2, 5, 64, 129])
@@ -386,6 +389,18 @@ def test_full_sampling_returns_the_start_without_iterating(meas):
     assert not np.shares_memory(result.image, result.start)
 
 
+def test_an_offset_of_a_million_is_carried_by_the_re_pin_alone():
+    # the iterations, in float32 at the default tol, hold DC at 0, so the
+    # offset takes none of their bits; the float64 re-pin restores it
+    img, mask = two_block_phantom(), draw_mask(16, 0.3, seed=1)
+    assert 0 in mask.kept_ranks  # DC is measured
+    assert SolverConfig().dtype == np.float32
+    base = reconstruct(measure(_dct2(img), mask))
+    shifted = reconstruct(measure(_dct2(img + 1e6), mask))
+    assert base.converged and shifted.converged
+    assert np.max(np.abs(shifted.image - (base.image + 1e6))) <= 1e-9 * 1e6
+
+
 def test_result_equality_is_identity_and_hash_works():
     # the generated == would compare the result's image arrays
     a, b = (reconstruct(phantom_measurements(0.3, 0), SolverConfig(max_iters=5)) for _ in range(2))
@@ -473,6 +488,24 @@ def test_two_threads_give_the_bytes_of_one(thread_starts, side, config, started)
     assert one.converged == (config == SolverConfig())
 
 
+@pytest.mark.parametrize("side", [32, 64, 127, 128, 256])
+def test_float32_iterations_follow_float64_and_the_re_pin_holds_the_kept_values(side):
+    # the default tol iterates in float32; the floor behind FLOAT32_MIN_TOL
+    # holds float32 to an iteration and 5e-4 relative MSE of float64
+    samples = long_ecg(side).samples
+    truth = reshape_to_image(samples - np.mean(samples))
+    spectrum = _dct2(truth)
+    meas = measure(spectrum, draw_mask(side, 0.5, 1))
+    config = SolverConfig()
+    assert config.dtype == np.float32
+    got, want = reconstruct(meas, config), admm_reference(meas, config, dtype=np.float64)
+    assert got.image.dtype == np.float64 and got.converged
+    assert constraint_gap(got.image, meas) <= 1e-12 * np.max(np.abs(spectrum))
+    assert abs(got.iters_used - want.iters_used) <= 1
+    got_mse, want_mse = (np.mean((result.image - truth) ** 2) for result in (got, want))
+    assert got_mse == pytest.approx(want_mse, rel=5e-4)
+
+
 def test_overflowing_input_fails_alike_on_two_threads(thread_starts):
     # samples near the float maximum overflow the start's TV, before any iteration
     signal = Signal1D(long_ecg(256).samples * 1e306)
@@ -485,14 +518,16 @@ def test_overflowing_input_fails_alike_on_two_threads(thread_starts):
 
 
 def test_overflow_on_a_worker_fails_alike_and_warns_nowhere(thread_starts, monkeypatch):
-    # a gradient of 1e300 overflows the shrink step's squares on every
-    # thread; recover_signal's error state must hold on the worker too, or
-    # the overflow warning, an error under pytest, would stop it
+    # a gradient ten times the square root of its dtype's maximum overflows
+    # the shrink step's squares on every thread, in float32 or float64;
+    # recover_signal's error state must hold on the worker too, or the
+    # overflow warning, an error under pytest, would stop it
     def huge_grad(x, gx, gy, rows):
         steps = _grad_steps(x, gx, gy, rows)
         if gx.base is None:  # tv's gradient, in arrays of its own, not the iteration's
             return steps
-        return steps + [(np.multiply, (field[rows], 1e300, field[rows])) for field in (gx, gy)]
+        huge = np.sqrt(np.finfo(gx.dtype).max) * 10
+        return steps + [(np.multiply, (field[rows], huge, field[rows])) for field in (gx, gy)]
 
     monkeypatch.setattr("cstv.solver._grad_steps", huge_grad)
     failures = []
@@ -535,8 +570,10 @@ def test_a_thread_count_below_one_is_refused_before_any_setup(thread_starts, mon
     assert thread_starts == []
 
 
-@pytest.mark.parametrize("side,threads", [(128, 1), (256, 1), (256, 2)])
-def test_iterations_allocate_no_array(monkeypatch, side, threads):
+@pytest.mark.parametrize("side,threads,tol", [(128, 1, 1e-15), (256, 1, 1e-15), (256, 2, 1e-15),
+                                              (256, 1, SolverConfig().tol), (256, 2, SolverConfig().tol)],
+                         ids=["128-1", "256-1", "256-2", "256-1-float32", "256-2-float32"])
+def test_iterations_allocate_no_array(monkeypatch, side, threads, tol):
     # the solve's traced peak and the iterations' own peak above what they
     # hold when they start; tv's temporaries after the iterations set the
     # former, so only the latter would see an array that one iteration
@@ -555,7 +592,7 @@ def test_iterations_allocate_no_array(monkeypatch, side, threads):
     for max_iters in (2, 40):
         tracemalloc.start()
         try:
-            result = reconstruct(meas, SolverConfig(max_iters=max_iters, tol=1e-15), threads)
+            result = reconstruct(meas, SolverConfig(max_iters=max_iters, tol=tol), threads)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

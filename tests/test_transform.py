@@ -40,16 +40,20 @@ def test_random_4x4_roundtrip_and_oracle():
 
 @pytest.mark.parametrize("side", [1, 3, 16, 128, 130, 256])
 def test_out_forms_match_allocating_forms_on_dirty_buffers(side):
-    x = np.random.default_rng(side).normal(size=(side, side))
-    # work is three side x side arrays; out is a separate array or x itself
-    for fn in (_dct2, _idct2):
-        expected = fn(x).tobytes()
-        out = np.full((side, side), np.nan)
-        assert fn(x, out=out, work=np.full((3, side, side), np.nan)) is out
-        assert out.tobytes() == expected
-        in_place = x.copy()
-        assert fn(in_place, out=in_place, work=np.full((3, side, side), np.nan)) is in_place
-        assert in_place.tobytes() == expected
+    x64 = np.random.default_rng(side).normal(size=(side, side))
+    # work is three side x side arrays; out is a separate array or x itself;
+    # every form keeps the input's dtype
+    for x in (x64, x64.astype(np.float32)):
+        for fn in (_dct2, _idct2):
+            allocated = fn(x)
+            assert allocated.dtype == x.dtype
+            expected = allocated.tobytes()
+            out = np.full((side, side), np.nan, x.dtype)
+            assert fn(x, out=out, work=np.full((3, side, side), np.nan, x.dtype)) is out
+            assert out.tobytes() == expected
+            in_place = x.copy()
+            assert fn(in_place, out=in_place, work=np.full((3, side, side), np.nan, x.dtype)) is in_place
+            assert in_place.tobytes() == expected
 
 
 @pytest.mark.parametrize("threads", [2])
