@@ -122,7 +122,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     checked_grid((args.ratio,), (args.seed,), names=("--ratio", "--seed"))
     config, signal = _read_inputs(args, args.out, args.residual_log, *images)
     try:
-        recovered, result = recover_signal(signal, args.ratio, args.seed, config, thread_budget())
+        recovered, result = recover_signal(signal, args.ratio, args.seed, config)
     except SolverFailure as failure:
         _write_residual_log(args.residual_log, failure.residuals)
         raise

@@ -2,7 +2,8 @@
 
 :class:`Signal1D` checks a signal's samples once, where it enters or leaves
 the program (a file, a generator, the recovery's argument and result).
-Between those points samples, images and spectra are plain float64 arrays.
+Between those points samples, images and spectra are plain float64 arrays,
+except inside a solve, whose iterations run in float32 at the default tol.
 A length-N0 array is zero-padded up to the smallest perfect square and filled
 into a side x side array column by column; the image does not record N0, and
 the inverse conversion takes it from the caller.

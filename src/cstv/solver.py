@@ -34,36 +34,25 @@ an offset takes none of their bits.  After them X is re-pinned in float64,
 whatever the dtype: transformed, its kept coefficients, DC among them, set
 to the measured values, and transformed back.
 
-No array is made after setup, nor a view outside the DCT pair: each thread
-binds its steps' calls to views once per solve, as :func:`grad` and
-:func:`divergence` bind theirs, and runs them every iteration.  Paired steps
-are one call over stacked arrays: g and b lose d together, div b and div d
-come together, and the dual residual and the x-update's right-hand side are
-one difference (:func:`_dual_steps`).  The norms are BLAS dot products.
-
-At even sides of THREAD_MIN_SIDE and up an iteration runs on two threads,
-the calling one included, when ``threads`` allows.  Each owns a block of
-image rows for the elementwise steps, grad and divergence, and one parity
-of spectrum rows, whose DCT products it computes whole and whose values it
-writes in both transforms and the spectral steps.  They meet at a barrier
-only where a step reads rows that the other wrote, inside the DCT pair and
-at the one-row halo of grad and the divergences, and at each norm, which
-one thread takes over the whole buffer.  So every value, the stop included,
-is the same to the byte on one thread or two.
+No array is made after setup, nor a view outside the DCT pair: the loop
+(:func:`_iterate`) binds its steps' calls to views once per solve, as
+:func:`grad` and :func:`divergence` bind theirs, and runs them every
+iteration.  Paired steps are one call over stacked arrays: g and b lose d
+together, div b and div d come together, and the dual residual and the
+x-update's right-hand side are one difference (:func:`_dual_steps`).  The
+norms are BLAS dot products.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
-import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .sampling import MeasurementSet
-from .transform import _alone, _dct2, _idct2, _splits
+from .transform import _dct2, _idct2
 
 Array = np.ndarray
 
@@ -72,12 +61,6 @@ MU = 2.0
 
 RELAX = 1.4
 """Over-relaxation factor of the d-update (1 is plain split Bregman)."""
-
-THREAD_MIN_SIDE = 224
-"""The smallest side whose iterations run on more than one thread, measured
-in float64.  Odd sides run on one: their DCT products are dense, and one
-thread computes each whole, so a second thread would wait through most of
-the iteration."""
 
 FLOAT32_MIN_TOL = 1e-4
 """The smallest tol whose iterations run in float32.  At tol 1e-4, on 48
@@ -143,15 +126,13 @@ def _flat(a: Array) -> Array:
     return a.reshape(*a.shape[:-2], -1)
 
 
-def _grad_steps(x: Array, gx: Array, gy: Array, rows: slice) -> list:
-    """The calls that write the block ``rows`` of grad x to gx and gy, as
-    (function, arguments) pairs over views: made once, run by :func:`_run`."""
-    top, end, _ = rows.indices(x.shape[0])
-    last, width = min(end, x.shape[0] - 1), x.shape[1]
-    flat, gy_flat = _flat(x)[top * width:end * width], _flat(gy)[top * width:end * width - 1]
+def _grad_steps(x: Array, gx: Array, gy: Array) -> list:
+    """The calls that write grad x to gx and gy, as (function, arguments)
+    pairs over views: made once, run by :func:`_run`."""
+    flat, gy_flat = _flat(x), _flat(gy)[:-1]
     # one pass over the flattened rows, whose wrapped differences land in the zeroed last column
-    return [(np.subtract, (x[top + 1:last + 1], x[top:last], gx[top:last])), (gx[last:end].fill, (0.0,)),
-            (np.subtract, (flat[1:], flat[:-1], gy_flat)), (gy[top:end, -1].fill, (0.0,))]
+    return [(np.subtract, (x[1:], x[:-1], gx[:-1])), (gx[-1].fill, (0.0,)),
+            (np.subtract, (flat[1:], flat[:-1], gy_flat)), (gy[:, -1].fill, (0.0,))]
 
 
 def grad(x: Array) -> tuple[Array, Array]:
@@ -162,21 +143,18 @@ def grad(x: Array) -> tuple[Array, Array]:
     """
     x = np.ascontiguousarray(x)
     gx, gy = np.empty_like(x), np.empty_like(x)
-    _run(_grad_steps(x, gx, gy, slice(None)))
+    _run(_grad_steps(x, gx, gy))
     return gx, gy
 
 
-def _divergence_steps(gx: Array, gy: Array, div: Array, rows: slice) -> list:
+def _divergence_steps(gx: Array, gy: Array, div: Array) -> list:
     """:func:`_grad_steps` for divergence(gx, gy) into div; each call spans
     the fields that the arrays may stack along leading axes."""
-    top, end, _ = rows.indices(gx.shape[-2])
-    below, width = max(top, 1), gx.shape[-1]  # below: the first row with a row above it
-    block, inner, upper = np.s_[..., top:end, :], np.s_[..., below:end, :], np.s_[..., below - 1:end - 1, :]
-    flat, gy_flat = _flat(div)[..., top * width + 1:end * width], _flat(gy)[..., top * width:end * width - 1]
-    copy_row_0 = [(np.copyto, (div[..., 0, :], gx[..., 0, :]))] if top == 0 else []
-    # one pass over the flattened rows after the block's first value; column 0, where it wraps, is remade below row 0
-    return [(np.subtract, (gx[inner], gx[upper], div[inner])), *copy_row_0,
-            (np.add, (div[block], gy[block], div[block])), (np.subtract, (flat, gy_flat, flat)),
+    inner, upper = np.s_[..., 1:, :], np.s_[..., :-1, :]
+    flat, gy_flat = _flat(div)[..., 1:], _flat(gy)[..., :-1]
+    # one pass over the flattened rows after the first value; column 0, where it wraps, is remade below row 0
+    return [(np.subtract, (gx[inner], gx[upper], div[inner])), (np.copyto, (div[..., 0, :], gx[..., 0, :])),
+            (np.add, (div, gy, div)), (np.subtract, (flat, gy_flat, flat)),
             (np.subtract, (gx[inner][..., 0], gx[upper][..., 0], div[inner][..., 0])),
             (np.add, (div[inner][..., 0], gy[inner][..., 0], div[inner][..., 0]))]
 
@@ -187,19 +165,18 @@ def divergence(gx: Array, gy: Array) -> Array:
     C-contiguous.  Leading axes of gx and gy stack fields, whose divergences
     the result stacks alike."""
     div = np.empty(gx.shape, gx.dtype)
-    _run(_divergence_steps(gx, gy, div, slice(None)))
+    _run(_divergence_steps(gx, gy, div))
     return div
 
 
-def _dual_steps(fields: Array, slots: Array, rows: slice) -> list:
+def _dual_steps(fields: Array, slots: Array) -> list:
     """The calls that write div b and div d of fields = (g, b, d) to slots 0
-    and 1 in the block ``rows``, then div b - div d to g[0] and div d -
-    div d_prev (from slot 2) to g[1] in one subtract, and then div d to slot 2."""
+    and 1, then div b - div d to g[0] and div d - div d_prev (from slot 2)
+    to g[1] in one subtract, and then div d to slot 2."""
     g, pair = fields[0], fields[1:]
     # every stack runs forward: one reversed along its first axis (g[::-1]) makes the subtract 2-3x slower
-    return _divergence_steps(pair[:, 0], pair[:, 1], slots[0:2], rows) + [
-        (np.subtract, (slots[0:2, rows], slots[1:3, rows], g[:, rows])),
-        (np.copyto, (slots[2, rows], slots[1, rows]))]
+    return _divergence_steps(pair[:, 0], pair[:, 1], slots[0:2]) + [
+        (np.subtract, (slots[0:2], slots[1:3], g)), (np.copyto, (slots[2], slots[1]))]
 
 
 def tv(x: Array) -> float:
@@ -220,61 +197,59 @@ def _norm(a: Array) -> float:
     return math.sqrt(np.vdot(a, a))
 
 
-def _on_threads(side: int, threads: int, body) -> None:
-    """Run body(rows, spectrum, sync) on this thread over all rows of a
-    side x side image and of its spectrum when ``threads`` is 1, else on
-    this thread and one more, each over its own half of the image rows and
-    its own parity of the spectrum rows.  sync(action) waits until both
-    threads have called it, then runs action, if any, on one of them before
-    either goes on; on one thread it runs action at once.
+def _iterate(x: Array, fields: Array, slots: Array, weight: Array, pinned: Array,
+             config: SolverConfig) -> tuple[list[tuple[float, float, float, float]], bool]:
+    """Run the iterations from zeroed buffers in their dtype, with views made
+    here, once; return the stopping-test rows and whether the test passed.
+    x ends as the last x-update.
 
-    The second thread starts here, runs in a copy of this thread's context
-    (numpy's error state is part of it) and is joined before this returns.
-    An exception in either thread breaks the barrier, so that the other
-    does not wait for ever, and is raised here."""
-    if threads == 1:
-        body(slice(0, side), slice(None), _alone)
-        return
-    pending = [None]
-    barrier = threading.Barrier(2, action=lambda: _alone(pending[0]))
+    The relaxed step reads d, and div(d_prev) is kept in slot 2 so that an
+    iteration takes two divergences.  g[0] holds div(b) - div(d) for the
+    x-update, whose scratch is slot 1 and slot 0, the shrink step's too."""
+    (g, b, d), rhs, g1, slot0, magb = fields, fields[0, 0], fields[0, 1], slots[0], slots[1]
+    g_and_b, relax, threshold, tol = fields[:2], 1.0 - RELAX, 1.0 / MU, config.tol
+    grad_x, dual, work = _grad_steps(x, g[0], g1), _dual_steps(fields, slots), (magb, slot0)
+    residuals = []
+    for _ in range(config.max_iters):
+        _dct2(rhs, out=rhs, work=work)
+        np.multiply(rhs, weight, rhs)
+        np.add(rhs, pinned, rhs)
+        _idct2(rhs, out=x, work=work)
 
-    def sync(action=None) -> None:
-        pending[0] = action  # both threads pass the same action
-        barrier.wait()
+        # b becomes u = (b + (1 - RELAX) d) + RELAX grad x, and d is scratch
+        # until it is remade; magb holds |u| per pixel, then the factor that
+        # shrinks u to d, and slot 0 the shrunk magnitude until div(b)
+        # overwrites it
+        _run(grad_x)
+        np.add(b, np.multiply(d, relax, d), b)
+        np.add(b, np.multiply(g, RELAX, d), b)
+        np.multiply(b, b, d)
+        np.add(d[0], d[1], magb)
+        np.sqrt(magb, magb)
+        np.maximum(np.subtract(magb, threshold, slot0), 0.0, out=slot0)
+        primal_scale = max(_norm(g), _norm(slot0))
+        np.divide(slot0, np.maximum(magb, threshold, out=magb), magb)
+        np.multiply(b, magb, d)
+        np.subtract(g_and_b, d, g_and_b)
+        primal = _norm(g)
+        _run(dual)
+        # g[1] holds div(d) - div(d_prev), the dual residual over MU, and slot 0 div(b)
+        row = (primal, primal_scale, MU * _norm(g1), MU * _norm(slot0))
+        residuals.append(row)
+        if not all(map(math.isfinite, row)):
+            raise SolverFailure(len(residuals), tuple(residuals))
+        if row[0] <= tol * row[1] and row[2] <= tol * row[3]:
+            return residuals, True
+    return residuals, False
 
-    errors: list[BaseException] = []
 
-    def run(rows: slice, spectrum: slice) -> None:
-        try:
-            body(rows, spectrum, sync)
-        except BaseException as exc:  # a KeyboardInterrupt too must free the other thread
-            errors.append(exc)
-            barrier.abort()
-
-    worker = threading.Thread(target=contextvars.copy_context().run,
-                              args=(run, slice(side // 2, side), slice(1, None, 2)))
-    worker.start()
-    try:
-        run(slice(0, side // 2), slice(0, None, 2))
-    finally:
-        worker.join()
-    if errors:
-        # the thread that a failure left waiting raises BrokenBarrierError
-        raise next((exc for exc in errors if not isinstance(exc, threading.BrokenBarrierError)), errors[0])
-
-
-def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None, threads: int = 1) -> ReconstructionResult:
+def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None) -> ReconstructionResult:
     """Recover an image from a measurement set by constrained TV minimization.
 
-    Starts from the zero-filled spectrum (feasible by construction).  Raises
+    Starts from the zero-filled DCT (feasible by construction).  Raises
     :class:`SolverFailure` when TV of the start (as iteration 1) or a norm
-    of the stopping test is not finite.  The iterations run on up to
-    ``threads`` threads, but on at most two, this one included, and on one
-    below THREAD_MIN_SIDE or at an odd side; the result is the same to the
-    byte on any number.
+    of the stopping test is not finite.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     config = config or SolverConfig()
     side, kept = meas.mask.side, (meas.mask.rows, meas.mask.cols)
     pinned = np.zeros((side, side))
@@ -299,81 +274,15 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None, thread
     # in solve units, with DC held at 0 until the re-pin
     pinned = np.divide(pinned, scale, out=pinned).astype(dtype, copy=False)
     pinned[0, 0] = 0.0
-
-    # the relaxed step reads d, and div(d_prev) is kept in slot 2 so that an
-    # iteration takes two divergences.  g[0] holds div(b) - div(d) for the
-    # x-update, whose scratch is g[1], slot 1 and slot 0, the shrink step's too.
     x, fields, slots = (np.zeros(shape, dtype) for shape in ((side, side), (3, 2, side, side), (3, side, side)))
-    (g, b, d), rhs = fields, fields[0, 0]
-    residuals: list[tuple[float, float, float, float]] = []
-    norms: dict[str, float] = {}
-    stop: list[int] = []
-
-    def iterate(rows: slice, spectrum: slice, sync) -> None:
-        """The iterations on the block ``rows`` of the image and the rows
-        ``spectrum`` of its spectrum, with views made here, once.  sync()
-        waits for the other thread where a stage reads what it writes; each
-        norm runs on one thread, over the whole buffer, while the other waits."""
-        rhs_part, weight_part, pinned_part = rhs[spectrum], weight[spectrum], pinned[spectrum]
-        gb, bb, db, db0, db1, shrunk = g[:, rows], b[:, rows], d[:, rows], d[0, rows], d[1, rows], slots[0, rows]
-        g_and_b, g1, slot0, relax, threshold = fields[:2, :, rows], g[1], slots[0], 1.0 - RELAX, 1.0 / MU
-        grad_x, dual = _grad_steps(x, g[0], g[1], rows), _dual_steps(fields, slots, rows)
-        work, magb = (slots[1], slot0, g1), slots[1, rows]
-
-        def norms_of_grad_and_shrink() -> None:
-            norms.update(grad=_norm(g), shrunk=_norm(slot0))
-
-        def primal_norm() -> None:
-            norms.update(primal=_norm(g))
-
-        def certify() -> None:
-            # g[1] holds div(d) - div(d_prev), the dual residual over MU, and slot 0 div(b)
-            row = (norms["primal"], max(norms["grad"], norms["shrunk"]), MU * _norm(g1), MU * _norm(slot0))
-            residuals.append(row)
-            if not all(map(math.isfinite, row)):
-                raise SolverFailure(len(residuals), tuple(residuals))
-            if row[0] <= config.tol * row[1] and row[2] <= config.tol * row[3]:
-                stop.append(len(residuals))
-
-        for _ in range(config.max_iters):
-            _dct2(rhs, out=rhs, work=work, spectrum=spectrum, sync=sync)
-            np.multiply(rhs_part, weight_part, rhs_part)
-            np.add(rhs_part, pinned_part, rhs_part)
-            _idct2(rhs, out=x, work=work, spectrum=spectrum, sync=sync)
-
-            # b becomes u = (b + (1 - RELAX) d) + RELAX grad x, and d is scratch
-            # until it is remade; magb holds |u| per pixel, then the factor that
-            # shrinks u to d, and slot 0 the shrunk magnitude until div(b)
-            # overwrites it.  grad reads the row below the block.
-            sync()
-            _run(grad_x)
-            np.add(bb, np.multiply(db, relax, db), bb)
-            np.add(bb, np.multiply(gb, RELAX, db), bb)
-            np.multiply(bb, bb, db)
-            np.add(db0, db1, magb)
-            np.sqrt(magb, magb)
-            np.maximum(np.subtract(magb, threshold, shrunk), 0.0, out=shrunk)
-            sync(norms_of_grad_and_shrink)
-            np.divide(shrunk, np.maximum(magb, threshold, out=magb), magb)
-            np.multiply(bb, magb, db)
-            np.subtract(g_and_b, db, g_and_b)
-            # the divergences read the row above the block
-            sync(primal_norm)
-            _run(dual)
-            sync(certify)
-            if stop:
-                break
-
-    # the DCT products split two ways, by the parity of their rows, and
-    # odd sides take the dense products, which run whole on one thread
-    _on_threads(side, min(threads, 2) if side >= THREAD_MIN_SIDE and _splits(side) else 1, iterate)
+    residuals, converged = _iterate(x, fields, slots, weight, pinned, config)
     # the re-pin, in float64 and the input's units
     image = np.multiply(x, scale, dtype=np.float64)
     _dct2(image, out=image)
     image[kept] = meas.values
     _idct2(image, out=image)
-    return ReconstructionResult(image=image, iters_used=(stop or [config.max_iters])[0], final_tv=tv(image),
-                                converged=bool(stop), start=start, residuals=tuple(residuals))
+    return ReconstructionResult(image=image, iters_used=len(residuals), final_tv=tv(image), converged=converged,
+                                start=start, residuals=tuple(residuals))
 
 
 def load_solver_config(path: str | Path) -> SolverConfig:
@@ -392,6 +301,9 @@ def load_solver_config(path: str | Path) -> SolverConfig:
         key, sep, value = map(str.strip, line.partition("="))
         if not sep:
             raise ValueError(f"{path}: cannot parse config line {raw!r}")
+        # the last value would win silently, and a second tol may change the dtype
+        if key in entries:
+            raise ValueError(f"{path}: config key {key} appears twice")
         try:
             entries[key] = casts.get(key, str)(value)
         except ValueError:

@@ -50,20 +50,17 @@ def recover_signal(
     ratio: float,
     seed: int,
     config: SolverConfig | None = None,
-    threads: int = 1,
 ) -> tuple[Signal1D, ReconstructionResult]:
-    """Run the full reshape / sample / solve / flatten pipeline once, the
-    solve on up to ``threads`` threads.  Samples near the float maximum
-    whose mean, centring or kept DCT coefficients overflow make the start's
-    TV non-finite, so the solve fails at iteration 1; the overflow raises no
-    warning, on any thread, the :class:`SolverFailure` reports it."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    """Run the full reshape / sample / solve / flatten pipeline once.
+    Samples near the float maximum whose mean, centring or kept DCT
+    coefficients overflow make the start's TV non-finite, so the solve fails
+    at iteration 1; the overflow, there or in the iterations, raises no
+    warning, the :class:`SolverFailure` reports it."""
     mean = np.mean(signal.samples)
     image = reshape_to_image(signal.samples - mean)
     mask = draw_mask(image.shape[0], ratio, seed)
     meas = measure(_dct2(image), mask)
-    result = reconstruct(meas, config, threads)
+    result = reconstruct(meas, config)
     return Signal1D(flatten_to_signal(result.image, len(signal)) + mean), result
 
 
@@ -118,10 +115,10 @@ class SweepRow:
     final_tv: float = float("nan")
 
 
-def _run_row(signal: Signal1D, config: SolverConfig, threads: int, ratio: float, seed: int) -> SweepRow:
+def _run_row(signal: Signal1D, config: SolverConfig, ratio: float, seed: int) -> SweepRow:
     start = time.perf_counter()
     try:
-        recovered, result = recover_signal(signal, ratio, seed, config, threads)
+        recovered, result = recover_signal(signal, ratio, seed, config)
         start_signal = Signal1D(flatten_to_signal(result.start, len(signal)) + np.mean(signal.samples))
         row = dict(mse=mse(signal, recovered), iters_used=result.iters_used, converged=result.converged,
                    start_mse=mse(signal, start_signal), final_tv=result.final_tv)
@@ -136,11 +133,10 @@ def blas_thread_settings() -> dict[str, str | None]:
 
 
 def thread_budget() -> int:
-    """The threads that fit beside BLAS, whether they are the processes of
-    a sweep or the threads of one solve: the CPUs this process may run on
-    over the BLAS threads of each.  BLAS reads each count as C's atoi does
-    and takes the first above 0; with none, it threads over every CPU itself
-    and the budget is 1."""
+    """The sweep processes that fit beside BLAS, which sizes ``--workers``
+    only: the CPUs this process may run on over the BLAS threads of each.
+    BLAS reads each count as C's atoi does and takes the first above 0;
+    with none, it threads over every CPU itself and the budget is 1."""
     matches = (re.match(r"[ \t\n\v\f\r]*([+-]?[0-9]+)", value or "") for value in blas_thread_settings().values())
     counts = (int(match[1]) for match in matches if match)
     threads = next((count for count in counts if count > 0), 0)
@@ -150,15 +146,9 @@ def thread_budget() -> int:
     return max(1, cpus // threads)
 
 
-def solve_threads(workers: int) -> int:
-    """The threads each solve of a sweep on ``workers`` processes may use:
-    its share of the :func:`thread_budget`, and at least one."""
-    return max(1, thread_budget() // workers)
-
-
 def run_sweep(spec: SweepSpec, workers: int = 1) -> tuple[SweepRow, ...]:
     """Evaluate every (ratio, seed) pair on up to ``workers`` processes,
-    this one included, each solve on up to :func:`solve_threads` threads.
+    this one included.
 
     With w processes this one solves grid rows 0, w, 2w, ... while a pool
     of w - 1 processes maps the others; no more processes run than there
@@ -169,7 +159,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> tuple[SweepRow, ...]:
         raise ValueError(f"workers must be >= 1, got {workers}")
     ratios, seeds = zip(*itertools.product(spec.ratios, spec.seeds))
     workers = min(workers, len(ratios))
-    run_row = partial(_run_row, spec.signal, spec.solver, solve_threads(workers))
+    run_row = partial(_run_row, spec.signal, spec.solver)
     if workers == 1:
         return tuple(map(run_row, ratios, seeds))
     # imported here: loading it costs every other command start-up time
@@ -221,9 +211,8 @@ def write_report_sidecar(rows: tuple[SweepRow, ...], spec: SweepSpec, path: str 
     """Provenance sidecar: spec, solver config, version, medians (also of
     the zero-filled starts), per-row start MSE, final TV and wall time, the
     processes that solved the rows (``workers``, capped as run_sweep caps
-    it), the threads each solve could use (``solve_threads``), the dtype
-    its iterations ran in (``solve_dtype``), the BLAS thread settings and
-    the versions (``env``) of this environment.
+    it), the dtype their iterations ran in (``solve_dtype``), the BLAS
+    thread settings and the versions (``env``) of this environment.
     A failed row's NaN, and any other value that is not finite, is written
     as null, so the file is strict JSON."""
     payload = {
@@ -239,7 +228,6 @@ def write_report_sidecar(rows: tuple[SweepRow, ...], spec: SweepSpec, path: str 
         "final_tv_rows": [_finite_or_null(r.final_tv) for r in rows],
         "wall_time_rows": [r.wall_time for r in rows],
         "workers": min(workers, len(rows)),
-        "solve_threads": solve_threads(min(workers, len(rows))),
         "solve_dtype": spec.solver.dtype.name,
         "blas_threads": blas_thread_settings(),
         "env": environment(),

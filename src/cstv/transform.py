@@ -63,85 +63,63 @@ def _splits(n: int) -> bool:
     return n % 2 == 0 and n >= SPLIT_MIN_SIDE
 
 
-def _alone(action=None) -> None:
-    """The sync of a thread that works alone: it runs action, if any, at once."""
-    if action is not None:
-        action()
-
-
-def _fold_pass(a: Array, fold: Array, out: Array, spectrum: slice) -> None:
-    """out = C @ a.T, in the rows ``spectrum`` of out: every row, or one
-    parity's.  Column i of a and its mirror n-1-i enter the even rows of the
-    product as their sum and the odd rows as their difference; fold is a
-    (2, n, n/2) array that holds the two.  All of a is read."""
+def _fold_pass(a: Array, fold: Array, out: Array) -> None:
+    """out = C @ a.T.  Column i of a and its mirror n-1-i enter the even rows
+    of the product as their sum and the odd rows as their difference; fold
+    is a (2, n, n/2) array that holds the two."""
     n = a.shape[0]
     h = n // 2
     left, mirror = a[:, :h], a[:, ::-1][:, :h]
-    for parity in range(2)[spectrum]:  # both parities, or the one that spectrum holds
+    for parity in range(2):
         (np.add, np.subtract)[parity](left, mirror, out=fold[parity])
         np.matmul(_half_bases(n, a.dtype)[parity], fold[parity].T, out=out[parity::2])
 
 
-def _unfold_pass(a: Array, fold: Array, out: Array, spectrum: slice, sync) -> None:
-    """out = a.T @ C, the inverse of :func:`_fold_pass`, in the rows
-    ``spectrum`` of out.  fold, a (2, n, n/2) array, receives the even and
-    the odd rows' shares of out's left half, each from the rows of a of a
-    parity in ``spectrum``, and sync() waits for both: their sum is that
-    half, their difference its mirror image."""
+def _unfold_pass(a: Array, fold: Array, out: Array) -> None:
+    """out = a.T @ C, the inverse of :func:`_fold_pass`.  fold, a (2, n, n/2)
+    array, receives the even and the odd rows' shares of out's left half:
+    their sum is that half, their difference its mirror image."""
     n = a.shape[0]
     h = n // 2
-    for parity in range(2)[spectrum]:
+    for parity in range(2):
         np.matmul(a[parity::2].T, _half_bases(n, a.dtype)[parity], out=fold[parity])
-    sync()
-    np.add(fold[0, spectrum], fold[1, spectrum], out=out[spectrum, :h])
-    np.subtract(fold[0, spectrum], fold[1, spectrum], out=out[spectrum, ::-1][:, :h])
+    np.add(fold[0], fold[1], out=out[:, :h])
+    np.subtract(fold[0], fold[1], out=out[:, ::-1][:, :h])
 
 
-def _dct2(x: Array, out: Array | None = None, work=None, spectrum: slice = slice(None), sync=_alone) -> Array:
+def _two_passes(one_pass, a: Array, out: Array | None, work) -> Array:
+    """one_pass, :func:`_fold_pass` or :func:`_unfold_pass`, over a and then
+    over its result, written to out."""
+    n = a.shape[0]
+    out = np.empty((n, n), a.dtype) if out is None else out
+    fold, between = np.empty((2, n, n), a.dtype) if work is None else work
+    # the first pass reads all of a, so the second may overwrite it
+    fold = fold.reshape(2, n, n // 2)
+    one_pass(a, fold, between)
+    one_pass(between, fold, out)
+    return out
+
+
+def _dct2(x: Array, out: Array | None = None, work=None) -> Array:
     """C @ x @ C.T in x's dtype, written to out, which may be x.  work, an
-    optional sequence of three n x n scratch arrays apart from x and out (or
-    one (3, n, n) array), holds C @ x, or the split's folds and first pass.
-
-    Where the transform splits (:func:`_splits`), two threads that share x,
-    out and work may each call this once all of x is written, one with
-    ``spectrum`` slice(0, None, 2) and one with slice(1, None, 2), and a
-    ``sync()`` that waits for both.  A thread computes the products of its
-    parity of spectrum rows and writes those rows of out.  The dense
-    product runs on one thread."""
+    optional pair of n x n scratch arrays apart from x and out (or one
+    (2, n, n) array), holds C @ x, or the split's folds and first pass."""
     n = x.shape[0]
     if not _splits(n):
         fold = None if work is None else work[0]
         return np.matmul(np.matmul(_dct_basis(n, x.dtype), x, out=fold), _dct_basis_t(n, x.dtype), out=out)
-    out = np.empty((n, n), x.dtype) if out is None else out
-    fold, between = np.empty((2, n, n), x.dtype) if work is None else work[:2]
-    # the first pass reads all of x, so the second may overwrite it
-    fold = fold.reshape(2, n, n // 2)
-    _fold_pass(x, fold, between, spectrum)
-    sync()
-    _fold_pass(between, fold, out, spectrum)
-    return out
+    return _two_passes(_fold_pass, x, out, work)
 
 
-def _idct2(y: Array, out: Array | None = None, work=None, spectrum: slice = slice(None), sync=_alone) -> Array:
-    """C.T @ y @ C in y's dtype, written to out, which may be y.  work, an
-    optional sequence of three n x n scratch arrays apart from y and out (or
-    one (3, n, n) array), holds C.T @ y, or the split's folds and first pass.
-
-    Threads call it as they call :func:`_dct2`, except that a thread needs
-    only the rows ``spectrum`` of y to be written, and writes the rows
-    ``spectrum`` of out."""
+def _idct2(y: Array, out: Array | None = None, work=None) -> Array:
+    """C.T @ y @ C in y's dtype, written to out, which may be y.  work is
+    as :func:`_dct2` takes it, and holds C.T @ y, or the split's folds and
+    first pass."""
     n = y.shape[0]
     if not _splits(n):
         c = _dct_basis(n, y.dtype)
         return np.matmul(np.matmul(c.T, y, out=None if work is None else work[0]), c, out=out)
-    out = np.empty((n, n), y.dtype) if out is None else out
-    fold, between, second_fold = np.empty((3, n, n), y.dtype) if work is None else work
-    # a thread makes the rows of the first pass that its products in the
-    # second read, and those write their own folds, so no sync lies between
-    # the passes; all of y is read before the first pass's sync
-    _unfold_pass(y, fold.reshape(2, n, n // 2), between, spectrum, sync)
-    _unfold_pass(between, second_fold.reshape(2, n, n // 2), out, spectrum, sync)
-    return out
+    return _two_passes(_unfold_pass, y, out, work)
 
 
 @dataclass(frozen=True, eq=False)

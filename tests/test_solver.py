@@ -1,5 +1,4 @@
 import math
-import threading
 import tracemalloc
 import warnings
 
@@ -15,7 +14,6 @@ from cstv.sampling import MeasurementSet, draw_mask, measure
 from cstv.signal import reshape_to_image
 from cstv.signal import Signal1D
 from cstv.solver import (
-    THREAD_MIN_SIDE,
     SolverConfig,
     SolverFailure,
     _divergence_steps,
@@ -77,35 +75,28 @@ def test_out_forms_match_allocating_forms_on_dirty_buffers(side):
         # differences into column 0; the strided formula must still hold exactly
         assert np.all(py[:, -1] != 0.0)
         assert div.tobytes() == _divergence(px, py).tobytes()
-        # the solver's threads each run the steps of one block of rows, bound
-        # to the iteration's buffers: blocks that cover the rows in any split
-        # give the whole form's bytes
-        for cuts in {(0, side), (0, side // 2, side), (0, 1, side - 1, side)}:
-            out_x, out_y, out_div = np.full((3, side, side), np.nan, dtype)
-            for top, end in zip(cuts, cuts[1:]):
-                _run(_grad_steps(x, out_x, out_y, slice(top, end)))
-                _run(_divergence_steps(px, py, out_div, slice(top, end)))
-            assert out_x.tobytes() + out_y.tobytes() == gx.tobytes() + gy.tobytes()
-            assert out_div.tobytes() == div.tobytes()
+        # the solver binds the same steps to its own buffers once per solve
+        out_x, out_y, out_div = np.full((3, side, side), np.nan, dtype)
+        _run(_grad_steps(x, out_x, out_y))
+        _run(_divergence_steps(px, py, out_div))
+        assert out_x.tobytes() + out_y.tobytes() == gx.tobytes() + gy.tobytes()
+        assert out_div.tobytes() == _divergence(px, py).tobytes()
 
 
 @pytest.mark.parametrize("side", [1, 2, 5, 64, 129])
 def test_stacked_divergences_and_differences_match_the_per_field_forms(side):
     # the solver's iterations write div b and div d of the stacked pair
     # (b, d) to slots 0 and 1, each pair of differences in one subtract, and
-    # div d to slot 2 for the next; blocks at row 0, inside and at the last
-    # row, each made once and run on every iteration, give the bytes of the
-    # per-field forms
+    # div d to slot 2 for the next; the steps, made once and run on every
+    # iteration, give the bytes of the per-field forms
     rng = np.random.default_rng(side)
-    cuts = sorted({0, 1, side // 2, side - 1, side})
     fields, slots = np.full((3, 2, side, side), np.nan), np.full((3, side, side), np.nan)
     d_prev = rng.normal(size=(2, side, side))
     slots[2] = divergence(*d_prev)
-    blocks = [_dual_steps(fields, slots, slice(top, end)) for top, end in zip(cuts, cuts[1:])]
+    steps = _dual_steps(fields, slots)
     for _ in range(4):
         fields[1:] = rng.normal(size=(2, 2, side, side))
-        for steps in blocks:
-            _run(steps)
+        _run(steps)
         (g, b, d), div_b, div_d = fields, divergence(*fields[1]), divergence(*fields[2])
         assert div_b.tobytes() == _divergence(*b).tobytes() == slots[0].tobytes()
         assert div_d.tobytes() == _divergence(*d).tobytes() == slots[1].tobytes() == slots[2].tobytes()
@@ -234,6 +225,18 @@ def test_solver_config_file_rejects_unknown_keys(tmp_path):
         load_solver_config(p)
 
 
+@pytest.mark.parametrize("text,key", [("tol = 1e-4\ntol = 1e-12\n", "tol"),
+                                      ("max_iters = 64\ntol = 1e-7\nmax_iters=64\n", "max_iters")],
+                         ids=["tol-then-another-tol", "max_iters-twice-alike"])
+def test_solver_config_file_rejects_a_repeated_key(tmp_path, text, key):
+    # the last value would win silently: here a second tol would move the solve to float64
+    p = tmp_path / "cfg.txt"
+    p.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_solver_config(p)
+    assert str(info.value) == f"{p}: config key {key} appears twice"
+
+
 @pytest.mark.parametrize("lines,named", [
     ("step_primal = 0.35\nstep_dual = 0.35\n", "'step_dual', 'step_primal'"),
     ("log_every = 50\n", "'log_every'"),
@@ -322,9 +325,9 @@ def test_non_finite_measured_value_fails_at_iteration_1(bad):
     assert excinfo.value.iteration == 1
 
 
-def infinite_divergences(gx, gy, div, rows):
+def infinite_divergences(gx, gy, div):
     """The solver's divergence calls, followed by one that makes them infinite."""
-    return _divergence_steps(gx, gy, div, rows) + [(div[..., rows, :].fill, (np.inf,))]
+    return _divergence_steps(gx, gy, div) + [(div.fill, (np.inf,))]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -452,42 +455,6 @@ def long_ecg_measurements(side, ratio=0.5, seed=1):
     return measure(_dct2(img), draw_mask(side, ratio, seed))
 
 
-def result_bytes(result):
-    return (result.image.tobytes(), repr(result.residuals), result.iters_used, result.final_tv.hex(),
-            result.converged)
-
-
-@pytest.fixture
-def thread_starts(monkeypatch):
-    """Counts the threads started; fails the test if any outlives it."""
-    before, starts = threading.active_count(), []
-    real_start = threading.Thread.start
-
-    def start(thread):
-        starts.append(thread)
-        real_start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", start)
-    yield starts
-    assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("side,config,started", [
-    (256, SolverConfig(), 1),  # the split DCT; the default config, which converges
-    (THREAD_MIN_SIDE, SolverConfig(max_iters=30), 1),
-    (THREAD_MIN_SIDE + 1, SolverConfig(max_iters=30), 0),  # odd: the dense DCT, on one thread
-    (THREAD_MIN_SIDE - 2, SolverConfig(max_iters=30), 0),
-], ids=["256", "min-side", "odd", "below-min-side"])
-def test_two_threads_give_the_bytes_of_one(thread_starts, side, config, started):
-    meas = long_ecg_measurements(side)
-    one = reconstruct(meas, config, threads=1)
-    assert thread_starts == []
-    two = reconstruct(meas, config, threads=2)
-    assert len(thread_starts) == started
-    assert result_bytes(two) == result_bytes(one)
-    assert one.converged == (config == SolverConfig())
-
-
 @pytest.mark.parametrize("side", [32, 64, 127, 128, 256])
 def test_float32_iterations_follow_float64_and_the_re_pin_holds_the_kept_values(side):
     # the default tol iterates in float32; the floor behind FLOAT32_MIN_TOL
@@ -506,93 +473,58 @@ def test_float32_iterations_follow_float64_and_the_re_pin_holds_the_kept_values(
     assert got_mse == pytest.approx(want_mse, rel=5e-4)
 
 
-def test_overflowing_input_fails_alike_on_two_threads(thread_starts):
+def test_overflow_on_a_worker_fails_alike_and_warns_nowhere(monkeypatch):
     # samples near the float maximum overflow the start's TV, before any iteration
-    signal = Signal1D(long_ecg(256).samples * 1e306)
-    failures = []
-    for threads in (1, 2):
-        with pytest.raises(SolverFailure) as failure:
-            recover_signal(signal, 0.5, 1, threads=threads)
-        failures.append((failure.value.iteration, failure.value.residuals))
-    assert failures == [(1, ())] * 2
+    with pytest.raises(SolverFailure) as failure:
+        recover_signal(Signal1D(long_ecg(256).samples * 1e306), 0.5, 1)
+    assert (failure.value.iteration, failure.value.residuals) == (1, ())
 
-
-def test_overflow_on_a_worker_fails_alike_and_warns_nowhere(thread_starts, monkeypatch):
     # a gradient ten times the square root of its dtype's maximum overflows
-    # the shrink step's squares on every thread, in float32 or float64;
-    # recover_signal's error state must hold on the worker too, or the
-    # overflow warning, an error under pytest, would stop it
-    def huge_grad(x, gx, gy, rows):
-        steps = _grad_steps(x, gx, gy, rows)
+    # the shrink step's squares, in float32 or float64; recover_signal's
+    # error state must hold in the iterations, or the overflow warning, an
+    # error under pytest, would stop them
+    def huge_grad(x, gx, gy):
+        steps = _grad_steps(x, gx, gy)
         if gx.base is None:  # tv's gradient, in arrays of its own, not the iteration's
             return steps
         huge = np.sqrt(np.finfo(gx.dtype).max) * 10
-        return steps + [(np.multiply, (field[rows], huge, field[rows])) for field in (gx, gy)]
+        return steps + [(np.multiply, (field, huge, field)) for field in (gx, gy)]
 
     monkeypatch.setattr("cstv.solver._grad_steps", huge_grad)
     failures = []
-    for threads in (1, 2):
+    for config in (SolverConfig(), SolverConfig(tol=1e-12)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SolverFailure) as failure:
-                recover_signal(long_ecg(256), 0.5, 1, threads=threads)
+                recover_signal(long_ecg(256), 0.5, 1, config)
         failures.append((failure.value.iteration, repr(failure.value.residuals)))
-    assert len(thread_starts) == 1
-    assert failures[0] == failures[1]
-    assert failures[0][0] == 1 and "inf" in failures[0][1]
+    assert failures[0][0] == failures[1][0] == 1
+    assert all("inf" in residuals for _, residuals in failures)
 
 
-@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
-@pytest.mark.parametrize("on_worker", [True, False], ids=["worker", "caller"])
-def test_an_error_on_any_thread_reaches_the_caller_and_frees_the_others(thread_starts, monkeypatch, error,
-                                                                          on_worker):
-    def fail_on_the_chosen_thread():
-        if (threading.current_thread() is threading.main_thread()) != on_worker:
-            raise error("injected")
-
-    monkeypatch.setattr("cstv.solver._divergence_steps",
-                        lambda *args: [(fail_on_the_chosen_thread, ()), *_divergence_steps(*args)])
-    with pytest.raises(error, match="injected"):
-        reconstruct(long_ecg_measurements(256), SolverConfig(max_iters=5), threads=2)
-    assert len(thread_starts) == 1
-
-
-@pytest.mark.parametrize("side", [64, 256])
-@pytest.mark.parametrize("threads", [0, -1])
-def test_a_thread_count_below_one_is_refused_before_any_setup(thread_starts, monkeypatch, side, threads):
-    meas, signal = long_ecg_measurements(side), long_ecg(side)
-    for name in ("cstv.solver._idct2", "cstv.sweep.draw_mask"):  # a step of each set-up
-        monkeypatch.setattr(name, lambda *args, **kwargs: pytest.fail("set-up ran"))
-    with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
-        reconstruct(meas, threads=threads)
-    with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
-        recover_signal(signal, 0.5, 1, threads=threads)
-    assert thread_starts == []
-
-
-@pytest.mark.parametrize("side,threads,tol", [(128, 1, 1e-15), (256, 1, 1e-15), (256, 2, 1e-15),
-                                              (256, 1, SolverConfig().tol), (256, 2, SolverConfig().tol)],
-                         ids=["128-1", "256-1", "256-2", "256-1-float32", "256-2-float32"])
-def test_iterations_allocate_no_array(monkeypatch, side, threads, tol):
+@pytest.mark.parametrize("side,tol", [(128, 1e-15), (256, 1e-15), (256, SolverConfig().tol)],
+                         ids=["128-1", "256-1", "256-1-float32"])
+def test_iterations_allocate_no_array(monkeypatch, side, tol):
     # the solve's traced peak and the iterations' own peak above what they
     # hold when they start; tv's temporaries after the iterations set the
     # former, so only the latter would see an array that one iteration
     # makes and drops
-    meas, real_on_threads, loop_peaks = long_ecg_measurements(side), solver_module._on_threads, []
+    meas, real_iterate, loop_peaks = long_ecg_measurements(side), solver_module._iterate, []
 
-    def traced_on_threads(*args):
+    def traced_iterate(*args):
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
-        real_on_threads(*args)
+        iterated = real_iterate(*args)
         loop_peaks.append(tracemalloc.get_traced_memory()[1] - held)
+        return iterated
 
-    reconstruct(meas, SolverConfig(max_iters=2), threads)  # fills the transform's basis caches
-    monkeypatch.setattr(solver_module, "_on_threads", traced_on_threads)
+    reconstruct(meas, SolverConfig(max_iters=2))  # fills the transform's basis caches
+    monkeypatch.setattr(solver_module, "_iterate", traced_iterate)
     peaks = []
     for max_iters in (2, 40):
         tracemalloc.start()
         try:
-            result = reconstruct(meas, SolverConfig(max_iters=max_iters, tol=tol), threads)
+            result = reconstruct(meas, SolverConfig(max_iters=max_iters, tol=tol))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -1,5 +1,4 @@
 import json
-import platform
 
 import numpy as np
 import pytest
@@ -185,29 +184,6 @@ def test_default_workers_count_cpus_where_affinity_is_unknown(monkeypatch):
     assert thread_budget() == 3
 
 
-def test_a_sweep_shares_the_thread_budget_between_its_processes(tmp_path, monkeypatch):
-    monkeypatch.setattr(sweep_mod, "thread_budget", lambda: 2)
-    given = []
-    real_reconstruct = sweep_mod.reconstruct
-
-    def recording(meas, config=None, threads=1):
-        given.append(threads)
-        return real_reconstruct(meas, config, threads)
-
-    monkeypatch.setattr(sweep_mod, "reconstruct", recording)
-    spec, sidecar = small_spec(), tmp_path / "report.json"
-    for workers, threads in ((1, 2), (2, 1)):
-        given.clear()
-        rows = run_sweep(spec, workers=workers)
-        # the rows this process solved; a pooled row's record stays in its process
-        assert given and set(given) == {threads}
-        write_report_sidecar(rows, spec, sidecar, workers)
-        assert json.loads(sidecar.read_text())["solve_threads"] == threads
-    env = json.loads(sidecar.read_text())["env"]
-    assert env["python"] == platform.python_version() and env["numpy"] == np.__version__
-    assert set(env["blas"]) == {"name", "version"} and all(isinstance(v, str) for v in env["blas"].values())
-
-
 def test_sweep_rows_are_sorted_and_complete():
     rows = run_sweep(small_spec())
     assert [(r.ratio, r.seed) for r in rows] == [(0.4, 1), (0.4, 2), (1.0, 1), (1.0, 2)]
@@ -248,7 +224,7 @@ def test_report_csv_bytes_are_reproducible(tmp_path):
 
 
 def test_failed_rows_marked_nan_and_sweep_continues(tmp_path, monkeypatch):
-    def explode(meas, config=None, threads=1):
+    def explode(meas, config=None):
         raise SolverFailure(7)
 
     monkeypatch.setattr(sweep_mod, "reconstruct", explode)

@@ -1,12 +1,9 @@
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import naive_dct2, zigzag_by_hand
-from cstv.solver import _on_threads
 from cstv.transform import _dct2, _dct_basis, _idct2, zigzag_order
 
 
@@ -41,7 +38,7 @@ def test_random_4x4_roundtrip_and_oracle():
 @pytest.mark.parametrize("side", [1, 3, 16, 128, 130, 256])
 def test_out_forms_match_allocating_forms_on_dirty_buffers(side):
     x64 = np.random.default_rng(side).normal(size=(side, side))
-    # work is three side x side arrays; out is a separate array or x itself;
+    # work is two side x side arrays; out is a separate array or x itself;
     # every form keeps the input's dtype
     for x in (x64, x64.astype(np.float32)):
         for fn in (_dct2, _idct2):
@@ -49,50 +46,11 @@ def test_out_forms_match_allocating_forms_on_dirty_buffers(side):
             assert allocated.dtype == x.dtype
             expected = allocated.tobytes()
             out = np.full((side, side), np.nan, x.dtype)
-            assert fn(x, out=out, work=np.full((3, side, side), np.nan, x.dtype)) is out
+            assert fn(x, out=out, work=np.full((2, side, side), np.nan, x.dtype)) is out
             assert out.tobytes() == expected
             in_place = x.copy()
-            assert fn(in_place, out=in_place, work=np.full((3, side, side), np.nan, x.dtype)) is in_place
+            assert fn(in_place, out=in_place, work=np.full((2, side, side), np.nan, x.dtype)) is in_place
             assert in_place.tobytes() == expected
-
-
-@pytest.mark.parametrize("threads", [2])
-@pytest.mark.parametrize("side", [128, 130, 226])
-def test_threads_by_row_blocks_give_the_bytes_of_one(side, threads):
-    # each DCT product runs whole on one thread, so the bytes cannot depend
-    # on how the rows are split
-    x = np.random.default_rng(side).normal(size=(side, side))
-    for fn in (_dct2, _idct2):
-        expected = fn(x).tobytes()
-        for in_place in (False, True):
-            a = x.copy()
-            out = a if in_place else np.full((side, side), np.nan)
-            work = np.full((3, side, side), np.nan)
-            _on_threads(side, threads,
-                        lambda rows, spectrum, sync: fn(a, out=out, work=work, spectrum=spectrum, sync=sync))
-            assert out.tobytes() == expected
-
-
-def test_threaded_pair_holds_with_frequent_switches():
-    # the two threads take turns at every bytecode they can; a sync missing
-    # between a write and a read would show as changed bytes
-    side = 226
-    x = np.random.default_rng(0).normal(size=(side, side))
-    expected = _idct2(_dct2(x)).tobytes()
-
-    def pair(rows, spectrum, sync):
-        _dct2(a, out=a, work=work, spectrum=spectrum, sync=sync)
-        _idct2(a, out=a, work=work, spectrum=spectrum, sync=sync)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            a, work = x.copy(), np.full((3, side, side), np.nan)
-            _on_threads(side, 2, pair)
-            assert a.tobytes() == expected
-    finally:
-        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("side", [126, 127, 128, 129, 130, 256])
