@@ -77,12 +77,12 @@ def flatten_to_signal(image: Array, n: int) -> Array:
 
 
 def load_signal_csv(path: str | Path) -> Signal1D:
-    """Read a signal from plain text, one value per line; blank lines are
-    skipped.  A file that is not UTF-8 text is a format error, and
-    :class:`Signal1D` rejects an empty file and NaN or infinity.
-    """
+    """Read a signal from UTF-8 text, one value per line; blank lines and a
+    leading byte-order mark are skipped.  A file that is not UTF-8 is a
+    format error, and :class:`Signal1D` rejects an empty file and NaN or
+    infinity."""
     try:
-        lines = [ln for ln in map(str.strip, Path(path).read_text().splitlines()) if ln]
+        lines = [ln for ln in map(str.strip, Path(path).read_text(encoding="utf-8-sig").splitlines()) if ln]
         return Signal1D([float(t) for t in lines])
     except ValueError as exc:
         raise SignalFormatError(f"{path}: {exc}") from exc

@@ -294,7 +294,7 @@ def load_solver_config(path: str | Path) -> SolverConfig:
     # the default's type is the field's type; an unknown key keeps its text
     casts = {f.name: type(f.default) for f in fields(SolverConfig)}
     entries = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in Path(path).read_text(encoding="utf-8-sig").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -18,7 +18,7 @@ import numpy as np
 from cstv.sampling import draw_mask, measure
 from cstv.signal import Signal1D, reshape_to_image
 from cstv.solver import MU, RELAX, ReconstructionResult, SolverConfig, SolverFailure
-from cstv.transform import _dct2, _dct_basis, _dct_basis_t
+from cstv.transform import _dct2, _dct_basis
 
 
 def naive_dct2(x: np.ndarray) -> np.ndarray:
@@ -124,7 +124,8 @@ def admm_reference(meas, config: SolverConfig, dtype=None) -> ReconstructionResu
     dtype = np.dtype(config.dtype if dtype is None else dtype)
     rows, cols = meas.mask.rows, meas.mask.cols
     side = meas.mask.side
-    c, ct = _dct_basis(side), _dct_basis_t(side)
+    c = _dct_basis(side)
+    ct = np.ascontiguousarray(c.T)
     spec0 = np.zeros((side, side))
     spec0[rows, cols] = meas.values
     start = c.T @ spec0 @ c
@@ -142,7 +143,8 @@ def admm_reference(meas, config: SolverConfig, dtype=None) -> ReconstructionResu
         weight = weight.astype(dtype)
         pinned = (spec0 / scale).astype(dtype)
         pinned[0, 0] = 0.0
-        c_loop, ct_loop = _dct_basis(side, dtype), _dct_basis_t(side, dtype)
+        c_loop = _dct_basis(side, dtype)
+        ct_loop = np.ascontiguousarray(c_loop.T)
         d = np.zeros((2, side, side), dtype)
         b = np.zeros((2, side, side), dtype)
         iters_used, converged = config.max_iters, False

@@ -113,6 +113,13 @@ def test_reconstruct_with_solver_config(tmp_path, capsys):
     cfg.write_text("max_iters = 20\n")
     assert run_cli("reconstruct", "--in", str(src), "--ratio", "0.4", "--seed", "0",
                    "--solver", str(cfg), "--out", str(out)) == EXIT_OK
+    # the signal file and the config file may each start with a UTF-8 byte-order mark
+    expected = out.read_bytes()
+    for path in (src, cfg):
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert run_cli("reconstruct", "--in", str(src), "--ratio", "0.4", "--seed", "0",
+                   "--solver", str(cfg), "--out", str(out)) == EXIT_OK
+    assert out.read_bytes() == expected
     # key = value lines are the one config syntax
     out.unlink()
     for text in ('{"max_iters": 20}\n', "tol: 1e-7\n"):

@@ -98,9 +98,12 @@ def test_side_is_minimal(n):
 
 def test_csv_one_value_per_line(tmp_path):
     p = tmp_path / "s.csv"
-    p.write_text("1.5\n\n  -2.25 \n3.0\n")
-    s = load_signal_csv(p)
-    assert s.samples.tolist() == [1.5, -2.25, 3.0]
+    text = b"1.5\n\n  -2.25 \n3.0\n"
+    # spreadsheet "CSV UTF-8" exports and Notepad start the file with a byte-order mark
+    for data in (text, b"\xef\xbb\xbf" + text):
+        p.write_bytes(data)
+        s = load_signal_csv(p)
+        assert s.samples.tolist() == [1.5, -2.25, 3.0]
 
 
 def test_csv_single_comma_row(tmp_path):
@@ -121,9 +124,11 @@ def test_csv_rejects_non_finite(tmp_path, body):
 
 def test_csv_rejects_garbage_and_empty(tmp_path):
     p = tmp_path / "s.csv"
-    p.write_text("1.0\nhello\n")
-    with pytest.raises(SignalFormatError):
-        load_signal_csv(p)
+    # a byte-order mark is skipped only where it starts the file
+    for data in (b"1.0\nhello\n", b"1.0\n\xef\xbb\xbf2.0\n"):
+        p.write_bytes(data)
+        with pytest.raises(SignalFormatError):
+            load_signal_csv(p)
     p.write_text("\n\n")
     with pytest.raises(SignalFormatError):
         load_signal_csv(p)

@@ -203,9 +203,12 @@ def test_solver_config_file_json(tmp_path):
 
 def test_solver_config_file_key_value(tmp_path):
     p = tmp_path / "cfg.txt"
-    p.write_text("max_iters = 64\ntol = 1e-7  # relative\n# comment\n")
-    cfg = load_solver_config(p)
-    assert cfg.max_iters == 64 and cfg.tol == 1e-7
+    text = "max_iters = 64\ntol = 1e-7  # relative\n# comment\n"
+    # a leading UTF-8 byte-order mark is not part of the first key
+    for data in (text.encode(), b"\xef\xbb\xbf" + text.encode()):
+        p.write_bytes(data)
+        cfg = load_solver_config(p)
+        assert cfg.max_iters == 64 and cfg.tol == 1e-7
 
 
 @pytest.mark.parametrize("line,named", [("max_iters = 1.5\n", "max_iters = '1.5'"),

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import naive_dct2, zigzag_by_hand
-from cstv.transform import _dct2, _dct_basis, _idct2, zigzag_order
+from cstv.transform import SPLIT_MIN_SIDE, _dct2, _dct_basis, _factors, _idct2, zigzag_order
 
 
 def random_image(side, seed):
@@ -91,12 +91,34 @@ def test_agreement_with_naive_oracle(side):
     assert np.max(np.abs(spec - naive_dct2(img))) <= 1e-10
 
 
-def test_agreement_with_scipy():
-    from scipy.fft import dctn
+@pytest.mark.parametrize("side", [16, 126, 127, 128, 129, 130, 255, 256])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("ours,theirs", [(_dct2, "dctn"), (_idct2, "idctn")], ids=["dct2", "idct2"])
+def test_agreement_with_scipy(side, dtype, ours, theirs):
+    # an independent oracle on both paths, dense and split, in both dtypes;
+    # the reference is taken in float64 from the very input the transform sees
+    import scipy.fft
 
-    img = random_image(16, seed=3)
-    spec = _dct2(img)
-    assert np.max(np.abs(spec - dctn(img, norm="ortho"))) < 1e-10
+    img = random_image(side, seed=3).astype(dtype)
+    reference = getattr(scipy.fft, theirs)(img.astype(np.float64), norm="ortho")
+    bound = 1e-12 if dtype is np.float64 else 1e-5 * np.max(np.abs(reference))
+    assert np.max(np.abs(ours(img) - reference)) <= bound
+
+
+@pytest.mark.parametrize("side", [64, 127, SPLIT_MIN_SIDE, 256])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_cached_factors_are_read_only_and_hold_what_the_path_multiplies_by(side, dtype):
+    c = _dct_basis(side, dtype)
+    splits = side % 2 == 0 and side >= SPLIT_MIN_SIDE
+    expected = (c[0::2, : side // 2], c[1::2, : side // 2]) if splits else (c, c.T)
+    factors = _factors(side, np.dtype(dtype))
+    assert len(factors) == 2
+    for factor, matrix in zip(factors, expected):
+        assert factor.dtype == dtype and factor.flags.c_contiguous
+        assert factor.tobytes() == np.ascontiguousarray(matrix).tobytes()
+        assert not factor.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            factor[0, 0] = 0.0
 
 
 @given(st.integers(2, 24), st.integers(0, 10_000))
