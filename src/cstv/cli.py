@@ -33,7 +33,9 @@ def write_pgm(samples: np.ndarray, path: str | Path) -> tuple[float, float]:
     lo = float(np.min(samples))
     hi = float(np.max(samples))
     if hi > lo:
-        scaled = np.round((samples - lo) / (hi - lo) * 255.0)
+        # from halves when the range exceeds the float maximum; halving is exact above the subnormals
+        h = 0.5 if hi - lo == np.inf else 1.0
+        scaled = np.round((samples * h - lo * h) / (hi * h - lo * h) * 255.0)
     else:
         scaled = np.zeros_like(samples)
     data = reshape_to_image(scaled).astype(np.uint8)

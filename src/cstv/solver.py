@@ -276,6 +276,7 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None) -> Rec
     pinned[0, 0] = 0.0
     x, fields, slots = (np.zeros(shape, dtype) for shape in ((side, side), (3, 2, side, side), (3, side, side)))
     residuals, converged = _iterate(x, fields, slots, weight, pinned, config)
+    del fields, slots  # the loop's 9 side^2 buffers, freed before the re-pin and tv make theirs
     # the re-pin, in float64 and the input's units
     image = np.multiply(x, scale, dtype=np.float64)
     _dct2(image, out=image)

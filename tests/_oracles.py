@@ -5,8 +5,9 @@ oracle is a direct quadruple loop over the transform definition, the TV
 oracle evaluates the per-pixel difference formula with explicit Python
 loops, the mask oracle draws one swap target per call, and the solver
 oracle is the over-relaxed split-Bregman loop written with a fresh array
-for every intermediate.  The two feasibility helpers at the end are not
-oracles: they measure a result through the package's own transform.
+for every intermediate, and the ECG oracle sums every bump over every
+sample.  The two feasibility helpers at the end are not oracles: they
+measure a result through the package's own transform.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 
 import numpy as np
 
+from cstv.generators import ECG_COMPONENTS, ECG_WANDER
 from cstv.sampling import draw_mask, measure
 from cstv.signal import Signal1D, reshape_to_image
 from cstv.solver import MU, RELAX, ReconstructionResult, SolverConfig, SolverFailure
@@ -85,6 +87,24 @@ def scalar_draw_ranks(side: int, ratio: float, seed: int) -> np.ndarray:
         j = i + int(rng.integers(n - i))
         ranks[i], ranks[j] = ranks[j], ranks[i]
     return np.sort(ranks[:m])
+
+
+def ecg_full_sum(n: int, bpm: float = 60.0, fs: float = 360.0, seed: int = 0, amplitude: float = 1.0) -> np.ndarray:
+    """``gen_ecg_like``'s samples with each beat's five bumps evaluated on
+    every sample, for rates that it accepts."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n, dtype=np.float64) / fs
+    period = 60.0 / bpm
+    x = np.zeros(n, dtype=np.float64)
+    n_beats = int(np.ceil(t[-1] / period)) + 2
+    for b in range(n_beats):
+        t_r = (b + 0.5) * period
+        for amp, off, width in ECG_COMPONENTS:
+            x += amp * np.exp(-0.5 * ((t - t_r - off * period) / (width * period)) ** 2)
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+    f_w = rng.uniform(0.15, 0.35)
+    x += ECG_WANDER * np.sin(2.0 * np.pi * f_w * t + phase)
+    return amplitude * x
 
 
 def _grad(x):

@@ -12,7 +12,7 @@ import pytest
 import cstv.solver
 from cstv.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main, write_pgm
 from cstv.generators import gen_ecg_like
-from cstv.signal import Signal1D, load_signal_csv, save_signal_csv
+from cstv.signal import Signal1D, load_signal_csv, reshape_to_image, save_signal_csv
 from cstv.solver import SolverConfig, SolverFailure, load_solver_config
 from cstv.sweep import blas_thread_settings, mse
 
@@ -478,6 +478,18 @@ def test_a_sweep_call_leaves_numpy_ma_unloaded(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env_with_src(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_write_pgm_range_beyond_the_float_maximum(tmp_path):
+    # hi - lo overflows, so the samples are normalized from halves, with no
+    # RuntimeWarning; a range that fits keeps the direct formula's pixels
+    p = tmp_path / "big.pgm"
+    assert write_pgm(np.array([1e308, -1e308, 0.0, 0.0]), p) == (-1e308, 1e308)
+    assert p.read_bytes().endswith(bytes([255, 128, 0, 128]))
+    samples = np.random.default_rng(0).standard_normal(64) * 1e300
+    lo, hi = write_pgm(samples, p)
+    pixels = reshape_to_image(np.round((samples - lo) / (hi - lo) * 255.0)).astype(np.uint8)
+    assert p.read_bytes().endswith(pixels.tobytes())
 
 
 def test_write_pgm_flat_image(tmp_path):

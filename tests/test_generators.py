@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracles import ecg_full_sum
 from cstv.generators import gen_ecg_like, gen_pressure_like, gen_respiration_like
 
 
@@ -41,6 +42,32 @@ def test_ecg_zero_amplitude_is_zero_signal():
 def test_ecg_single_sample():
     sig = gen_ecg_like(1, bpm=60, fs=250, seed=0)
     assert len(sig) == 1 and np.isfinite(sig.samples[0])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kwargs", [
+    # the benchmark's records: trend_sweep, long_record, short_records in mV and in ADC counts
+    dict(n=4096, bpm=36.0, fs=4800.0), dict(n=65536, fs=360.0), dict(n=1024, fs=360.0, amplitude=1.0),
+    dict(n=1024, fs=360.0, amplitude=200.0),
+    dict(n=1), dict(n=3), dict(n=500, bpm=600.0, fs=50.0), dict(n=40, bpm=1.0, fs=0.02),
+], ids=["bench-4096", "bench-65536", "bench-1024-mv", "bench-1024-adc", "n1", "n3", "bpm600-fs50", "bpm1-fs0.02"])
+def test_ecg_matches_the_full_bump_sum(kwargs, seed):
+    # bumps summed only within 40 widths of their centres give the bytes of the sum over every sample
+    assert gen_ecg_like(seed=seed, **kwargs).samples.tobytes() == ecg_full_sum(seed=seed, **kwargs).tobytes()
+
+
+def test_ecg_evaluates_each_bump_near_its_centre_only(monkeypatch):
+    # the full sum hands np.exp 925 n values at 360 Hz and 60 bpm (5 bumps x 185 beats)
+    real_exp, seen = np.exp, []
+
+    def counting_exp(x, *args, **kwargs):
+        seen.append(np.size(x))
+        return real_exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    n = 65536
+    gen_ecg_like(n, fs=360.0)
+    assert 0 < sum(seen) <= 8 * n
 
 
 @pytest.mark.parametrize(

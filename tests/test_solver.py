@@ -539,3 +539,7 @@ def test_iterations_allocate_no_array(monkeypatch, side, tol):
         # values (64 KiB) an operand of a call whose operands' strides differ,
         # which at side 128 alone exceed its 128 KiB array
         assert max(loop_peaks) < 8 * side * side
+    if side == 256 and tol == SolverConfig().tol:
+        # the loop's float32 buffers are dropped before the float64 re-pin and
+        # tv make theirs: 7.2 side x side float64 arrays, 11.0 with them held
+        assert max(peaks) < 9 * 8 * side * side
