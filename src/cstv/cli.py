@@ -160,8 +160,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = run_sweep(spec, workers=args.workers)
     write_report_csv(rows, args.out)
     write_report_sidecar(rows, spec, sidecar, args.workers)
-    for ratio, median in ratio_medians(rows):
-        print(f"ratio={ratio:.2f} median_mse={median!r}")
+    for (ratio, median), (_, start) in zip(ratio_medians(rows), ratio_medians(rows, "start_mse")):
+        print(f"ratio={ratio:.2f} median_mse={median!r} median_start_mse={start!r}")
     return EXIT_OK
 
 

@@ -23,11 +23,11 @@ Array = np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class MeasurementMask:
-    """Kept zig-zag ranks for a side x side spectrum, sorted ascending.
+    """Kept zig-zag ranks for a side x side spectrum, and their positions.
 
-    ``rows`` and ``cols`` are the spectrum positions of the kept ranks, in
-    the order of ``kept_ranks``.  How many ranks a ratio keeps is decided
-    by :func:`draw_mask`.  Equality is identity.
+    Made by :func:`draw_mask`, which passes ``kept_ranks`` sorted, distinct
+    and read-only; a direct constructor checks nothing.  ``rows`` and
+    ``cols`` are the kept ranks' spectrum positions.  Equality is identity.
     """
 
     side: int
@@ -36,39 +36,19 @@ class MeasurementMask:
     cols: Array = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        ranks = np.asarray(self.kept_ranks, dtype=np.int64)
-        n = self.side * self.side
-        if ranks.ndim != 1 or ranks.size < 1 or ranks.size > n:
-            raise ValueError("kept_ranks must hold between 1 and side^2 ranks")
-        if np.any((ranks < 0) | (ranks >= n)):
-            raise ValueError("ranks out of range")
-        ranks = np.sort(ranks)
-        if np.any(ranks[1:] == ranks[:-1]):
-            raise ValueError("ranks must be distinct")
-        ranks.setflags(write=False)
-        object.__setattr__(self, "kept_ranks", ranks)
         order = zigzag_order(self.side)
-        for name, positions in (("rows", order.rows[ranks]), ("cols", order.cols[ranks])):
+        for name, positions in (("rows", order.rows[self.kept_ranks]), ("cols", order.cols[self.kept_ranks])):
             positions.setflags(write=False)
             object.__setattr__(self, name, positions)
 
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSet:
-    """Measured coefficient values, aligned with mask.kept_ranks.
-
-    Equality is identity.
-    """
+    """Values at the mask's positions, made read-only by :func:`measure`;
+    a direct constructor checks nothing.  Equality is identity."""
 
     mask: MeasurementMask
     values: Array
-
-    def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=np.float64)
-        if vals.shape != self.mask.kept_ranks.shape:
-            raise ValueError("values length must match the mask")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
 
 
 def draw_mask(side: int, ratio: float, seed: int) -> MeasurementMask:
@@ -89,12 +69,16 @@ def draw_mask(side: int, ratio: float, seed: int) -> MeasurementMask:
     for i, offset in enumerate(rng.integers(np.arange(n, n - m, -1)).tolist()):
         j = i + offset
         ranks[i], ranks[j] = ranks[j], ranks[i]
-    return MeasurementMask(side=side, kept_ranks=ranks[:m])
+    kept = np.sort(np.array(ranks[:m], dtype=np.int64))
+    kept.setflags(write=False)
+    return MeasurementMask(side=side, kept_ranks=kept)
 
 
 def measure(coeffs: Array, mask: MeasurementMask) -> MeasurementSet:
     """Gather a spectrum array's values at the mask's zig-zag ranks."""
     if coeffs.shape != (mask.side, mask.side):
         raise ValueError(f"shape mismatch: spectrum {coeffs.shape}, mask side {mask.side}")
-    return MeasurementSet(mask=mask, values=coeffs[mask.rows, mask.cols])
+    values = coeffs[mask.rows, mask.cols]
+    values.setflags(write=False)
+    return MeasurementSet(mask=mask, values=values)
 

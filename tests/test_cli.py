@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import cstv.solver
+import cstv.sweep
 from cstv.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main, write_pgm
 from cstv.generators import gen_ecg_like
 from cstv.signal import Signal1D, load_signal_csv, reshape_to_image, save_signal_csv
@@ -170,6 +171,31 @@ def test_sweep_writes_csv_and_sidecar(tmp_path):
     assert sidecar["ratios"] == [0.5, 1.0]
     assert sidecar["seeds"] == [1, 2]
     assert "solver" in sidecar and "median_mse" in sidecar
+
+
+def test_sweep_prints_the_medians_its_sidecar_holds(tmp_path, monkeypatch, capsys):
+    src = gen_csv(tmp_path / "sig.csv", "--kind", "ecg", "--n", "256", "--fs", "64", "--bpm", "60", "--seed", "1")
+    recover = cstv.sweep.recover_signal
+
+    def fail_at_07(signal, ratio, seed, config=None):
+        if ratio == 0.7:
+            raise SolverFailure(2)
+        return recover(signal, ratio, seed, config)
+
+    monkeypatch.setattr("cstv.sweep.recover_signal", fail_at_07)
+    assert run_cli("sweep", "--in", src, "--ratios", "0.5,0.7", "--seeds", "1,2", "--workers", "1",
+                   "--out", str(tmp_path / "report.csv")) == EXIT_OK
+    sidecar = json.loads((tmp_path / "report.json").read_text())
+
+    def shown(key, ratio):
+        # the sidecar writes a ratio whose rows all failed as null, stdout as nan
+        return "nan" if sidecar[key][ratio] is None else repr(sidecar[key][ratio])
+
+    printed = [f"ratio={float(r):.2f} median_mse={shown('median_mse', r)} "
+               f"median_start_mse={shown('median_start_mse', r)}" for r in sidecar["median_mse"]]
+    assert capsys.readouterr().out.splitlines() == printed
+    assert printed[1] == "ratio=0.70 median_mse=nan median_start_mse=nan"
+    assert sidecar["median_mse"]["0.5"] is not None and sidecar["median_start_mse"]["0.5"] is not None
 
 
 def test_every_solver_field_round_trips_through_config_files_and_sidecar(tmp_path):
