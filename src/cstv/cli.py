@@ -15,7 +15,7 @@ import numpy as np
 
 from .generators import gen_ecg_like, gen_pressure_like, gen_respiration_like
 from .signal import Signal1D, SignalFormatError, load_signal_csv, reshape_to_image, save_signal_csv
-from .solver import SolverConfig, SolverFailure, load_solver_config
+from .solver import Row, SolverConfig, SolverFailure, load_solver_config
 from .sweep import (SweepSpec, blas_thread_settings, checked_grid, mse, ratio_medians, recover_signal, run_sweep,
                     thread_budget, write_report_csv, write_report_sidecar)
 
@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--dump-images", default=None, metavar="DIR",
                      help="write original/reconstructed PGM images and a bounds sidecar into DIR, which must exist")
     rec.add_argument("--residual-log", default=None, metavar="FILE",
-                     help="write each iteration's stopping-test residuals as CSV")
+                     help="write the stopping-test residuals as CSV, one row for each iteration that ran the test")
     rec.set_defaults(handler=_cmd_reconstruct)
 
     swp = sub.add_parser("sweep", parents=[solving], help="MSE versus sampling ratio over seeds")
@@ -90,12 +90,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_residual_log(path: str | None, residuals: tuple[tuple[float, ...], ...]) -> None:
+def _write_residual_log(path: str | None, residuals: tuple[Row, ...]) -> None:
     if path:
         with open(path, "w", newline="") as fh:
             fh.write("iteration,primal,primal_scale,dual,dual_scale\n")
-            for iteration, norms in enumerate(residuals, start=1):
-                fh.write(f"{iteration},{','.join(map(repr, norms))}\n")
+            fh.writelines(f"{','.join(map(repr, row))}\n" for row in residuals)
 
 
 def _read_inputs(args: argparse.Namespace, *outputs: str | Path | None) -> tuple[SolverConfig, Signal1D]:

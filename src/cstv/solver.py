@@ -5,7 +5,7 @@ by split Bregman (Goldstein & Osher 2009), an ADMM on d = grad X with
 penalty MU and scaled dual b.  -div(grad(.)) is diagonal in the orthonormal
 DCT-II basis, with eigenvalues lambda_kl = 4 - 2 cos(pi k / side)
 - 2 cos(pi l / side), so the X-update is exact and costs one DCT pair: the
-free coefficients of DCT2(div(b) - div(d)) are divided by lambda_kl, and
+free coefficients of DCT2(div(b - d)) are divided by lambda_kl, and
 the measured ones (and DC, where lambda is 0) keep their values.  There is
 no step size.  The d-update is over-relaxed (Eckstein & Bertsekas 1992;
 Boyd et al. 2011, section 3.4.3): u = b + (1 - RELAX) d + RELAX grad X is
@@ -21,10 +21,13 @@ returned as it is when TV(X0) = 0 or no coefficient is free.  The solve
 stops when the primal residual ||grad X - d|| and the dual residual
 MU ||div(d - d_prev)|| (Boyd et al. 2011, section 3.3) are at most tol
 times max(||grad X||, ||d||) and MU ||div b||; ``converged`` means
-exactly that.  Row i of ``residuals`` holds these four norms (primal, its
-scale, dual, its scale) after iteration i + 1, in solve units: the last
-row of a converged solve is the test passing, and the rows vary with
-amplitude only by round-off.
+exactly that.  The test runs at iteration 1, every CHECK_EVERY-th
+iteration and the last, so the solve stops, or fails on a norm that is
+not finite, only there; the iterations between take neither the norms
+nor div b and div d.  Each test adds a row to ``residuals``: the
+iteration, then the four norms (primal, its scale, dual, its scale) in
+solve units.  The last row of a converged solve is the test passing, and
+the rows vary with amplitude only by round-off.
 
 The iterations run in float32 when tol is at least FLOAT32_MIN_TOL and in
 float64 below it (``SolverConfig.dtype``): float32 halves the bytes that
@@ -37,14 +40,15 @@ to the measured values, and transformed back.
 No array is made after setup, nor a view outside the DCT pair: the loop
 (:func:`_iterate`) binds its steps' calls to views once per solve, as
 :func:`grad` and :func:`divergence` bind theirs, and runs them every
-iteration.  Paired steps are one call over stacked arrays: g and b lose d
-together, div b and div d come together, and the dual residual and the
-x-update's right-hand side are one difference (:func:`_dual_steps`).  The
-norms are BLAS dot products.
+iteration.  The x-update's right-hand side is one divergence, of b - d.
+A check takes div b and div d in one call over the stacked pair, and the
+iteration before it div d_prev, so that the dual residual is their
+difference.  The norms are BLAS dot products.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -68,12 +72,18 @@ solves of ECG, pressure and respiration records at sides 64 and 256,
 float32 matched float64 in iterations to one, in MSE to 5e-4 relative and
 in final TV to 1e-6 relative; at 1e-5, 1e-6 and 1e-7 it did not."""
 
+CHECK_EVERY = 5
+"""The stopping test runs at iteration 1, at every CHECK_EVERY-th and at max_iters."""
+
+Row = tuple[int, float, float, float, float]
+"""A stopping-test row: (iteration, primal, primal scale, dual, dual scale)."""
+
 
 class SolverFailure(RuntimeError):
     """The start's TV or a stopping norm is not finite; ``residuals`` holds
     the stopping-test rows up to it, the non-finite one last."""
 
-    def __init__(self, iteration: int, residuals: tuple[tuple[float, float, float, float], ...] = ()):
+    def __init__(self, iteration: int, residuals: tuple[Row, ...] = ()):
         self.iteration, self.residuals = iteration, residuals
         super().__init__(f"solver diverged at iteration {iteration}")
 
@@ -108,9 +118,9 @@ class ReconstructionResult:
     converged: bool
     start: Array
     """The zero-filled start: measured coefficients, zeros elsewhere."""
-    residuals: tuple[tuple[float, float, float, float], ...]
-    """(primal, primal scale, dual, dual scale) of each iteration's stopping
-    test, in units of TV(start) / side^2."""
+    residuals: tuple[Row, ...]
+    """The rows of each iteration that ran the stopping test, its norms in
+    units of TV(start) / side^2."""
 
 
 def _run(steps) -> None:
@@ -169,25 +179,17 @@ def divergence(gx: Array, gy: Array) -> Array:
     return div
 
 
-def _dual_steps(fields: Array, slots: Array) -> list:
-    """The calls that write div b and div d of fields = (g, b, d) to slots 0
-    and 1, then div b - div d to g[0] and div d - div d_prev (from slot 2)
-    to g[1] in one subtract, and then div d to slot 2."""
-    g, pair = fields[0], fields[1:]
-    # every stack runs forward: one reversed along its first axis (g[::-1]) makes the subtract 2-3x slower
-    return _divergence_steps(pair[:, 0], pair[:, 1], slots[0:2]) + [
-        (np.subtract, (slots[0:2], slots[1:3], g)), (np.copyto, (slots[2], slots[1]))]
-
-
 def tv(x: Array) -> float:
     """Isotropic total variation: sum of per-pixel gradient magnitudes, inf
     when that sum of finite magnitudes exceeds the float range."""
     # hypot neither underflows nor overflows where the squares would.
     # math.fsum is exactly rounded, which makes the value independent of
-    # summation order and therefore bit-comparable against a loop oracle
+    # summation order and therefore bit-comparable against a loop oracle;
+    # it reads the magnitudes row by row as Python floats, which is faster
+    # than numpy scalars and makes no side^2-long list
     gx, gy = grad(x)
     try:
-        return math.fsum(np.hypot(gx, gy).ravel())
+        return math.fsum(itertools.chain.from_iterable(map(np.ndarray.tolist, np.hypot(gx, gy))))
     except OverflowError:
         return math.inf
 
@@ -198,48 +200,57 @@ def _norm(a: Array) -> float:
 
 
 def _iterate(x: Array, fields: Array, slots: Array, weight: Array, pinned: Array,
-             config: SolverConfig) -> tuple[list[tuple[float, float, float, float]], bool]:
+             config: SolverConfig) -> tuple[list[Row], bool]:
     """Run the iterations from zeroed buffers in their dtype, with views made
     here, once; return the stopping-test rows and whether the test passed.
     x ends as the last x-update.
 
-    The relaxed step reads d, and div(d_prev) is kept in slot 2 so that an
-    iteration takes two divergences.  g[0] holds div(b) - div(d) for the
-    x-update, whose scratch is slot 1 and slot 0, the shrink step's too."""
-    (g, b, d), rhs, g1, slot0, magb = fields, fields[0, 0], fields[0, 1], slots[0], slots[1]
-    g_and_b, relax, threshold, tol = fields[:2], 1.0 - RELAX, 1.0 / MU, config.tol
-    grad_x, dual, work = _grad_steps(x, g[0], g1), _dual_steps(fields, slots), (magb, slot0)
+    The relaxed step reads d.  Slots 0 and 1 are scratch: the DCT pair's,
+    the shrink step's, then b - d's, whose divergence g[0] holds for the
+    x-update.  A check takes div b and div d in them, and div(d_prev) from
+    slot 2, which the iteration before it writes."""
+    (g, b, d), rhs, g1, e, (slot0, slot1, div_prev) = fields, fields[0, 0], fields[0, 1], slots[0:2], slots
+    relax, threshold, tol, last = 1.0 - RELAX, 1.0 / MU, config.tol, config.max_iters
+    grad_x, div_e, work = _grad_steps(x, g[0], g1), _divergence_steps(*e, rhs), (slot1, slot0)
+    div_b_and_d, div_d = _divergence_steps(fields[1:, 0], fields[1:, 1], e), _divergence_steps(*d, div_prev)
+    # d = u times the factor, per field: the factor broadcast over the pair takes 1.4x as long
+    shrink = [(np.multiply, (u, slot1, d_field)) for u, d_field in zip(b, d)]
     residuals = []
-    for _ in range(config.max_iters):
+    for iteration in range(1, last + 1):
         _dct2(rhs, out=rhs, work=work)
         np.multiply(rhs, weight, rhs)
         np.add(rhs, pinned, rhs)
         _idct2(rhs, out=x, work=work)
 
         # b becomes u = (b + (1 - RELAX) d) + RELAX grad x, and d is scratch
-        # until it is remade; magb holds |u| per pixel, then the factor that
-        # shrinks u to d, and slot 0 the shrunk magnitude until div(b)
-        # overwrites it
+        # until it is remade; slot 1 holds |u| per pixel, then the factor
+        # that shrinks u to d, and slot 0 the shrunk magnitude
         _run(grad_x)
         np.add(b, np.multiply(d, relax, d), b)
         np.add(b, np.multiply(g, RELAX, d), b)
         np.multiply(b, b, d)
-        np.add(d[0], d[1], magb)
-        np.sqrt(magb, magb)
-        np.maximum(np.subtract(magb, threshold, slot0), 0.0, out=slot0)
-        primal_scale = max(_norm(g), _norm(slot0))
-        np.divide(slot0, np.maximum(magb, threshold, out=magb), magb)
-        np.multiply(b, magb, d)
-        np.subtract(g_and_b, d, g_and_b)
-        primal = _norm(g)
-        _run(dual)
-        # g[1] holds div(d) - div(d_prev), the dual residual over MU, and slot 0 div(b)
-        row = (primal, primal_scale, MU * _norm(g1), MU * _norm(slot0))
-        residuals.append(row)
-        if not all(map(math.isfinite, row)):
-            raise SolverFailure(len(residuals), tuple(residuals))
-        if row[0] <= tol * row[1] and row[2] <= tol * row[3]:
-            return residuals, True
+        np.add(d[0], d[1], slot1)
+        np.sqrt(slot1, slot1)
+        np.maximum(np.subtract(slot1, threshold, slot0), 0.0, out=slot0)
+        np.divide(slot0, np.maximum(slot1, threshold, out=slot1), slot1)
+        _run(shrink)
+        np.subtract(b, d, b)
+        if check := iteration == 1 or iteration % CHECK_EVERY == 0 or iteration == last:
+            primal_scale = max(_norm(g), _norm(slot0))
+            primal = _norm(np.subtract(g, d, g))
+        np.subtract(b, d, e)
+        _run(div_e)
+        if check:
+            # the dual residual over MU, div(d) - div(d_prev), goes to g[1]
+            _run(div_b_and_d)
+            dual, dual_scale = MU * _norm(np.subtract(slot1, div_prev, g1)), MU * _norm(slot0)
+            residuals.append((iteration, primal, primal_scale, dual, dual_scale))
+            if not all(map(math.isfinite, residuals[-1])):
+                raise SolverFailure(iteration, tuple(residuals))
+            if primal <= tol * primal_scale and dual <= tol * dual_scale:
+                return residuals, True
+        if (iteration + 1) % CHECK_EVERY == 0 or iteration + 1 == last:
+            _run(div_d)
     return residuals, False
 
 
@@ -282,7 +293,7 @@ def reconstruct(meas: MeasurementSet, config: SolverConfig | None = None) -> Rec
     _dct2(image, out=image)
     image[kept] = meas.values
     _idct2(image, out=image)
-    return ReconstructionResult(image=image, iters_used=len(residuals), final_tv=tv(image), converged=converged,
+    return ReconstructionResult(image=image, iters_used=residuals[-1][0], final_tv=tv(image), converged=converged,
                                 start=start, residuals=tuple(residuals))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from cstv.generators import ECG_COMPONENTS, ECG_WANDER
 from cstv.sampling import draw_mask, measure
 from cstv.signal import Signal1D, reshape_to_image
-from cstv.solver import MU, RELAX, ReconstructionResult, SolverConfig, SolverFailure
+from cstv.solver import CHECK_EVERY, MU, RELAX, ReconstructionResult, SolverConfig, SolverFailure
 from cstv.transform import _dct2, _dct_basis
 
 
@@ -134,7 +134,8 @@ def admm_reference(meas, config: SolverConfig, dtype=None) -> ReconstructionResu
     """The scaled, over-relaxed split-Bregman solve, allocating every
     intermediate and taking div(d) afresh each time it is needed.
 
-    Same iteration, stopping test, residual record and failure rule as
+    Same iteration, stopping test and schedule (iteration 1, every
+    CHECK_EVERY-th and the last), residual record and failure rule as
     ``reconstruct``, with its arithmetic in the same order (the forward DCT
     multiplies by the same C-contiguous copy of C.T) and in the same dtype,
     ``config.dtype`` unless ``dtype`` is given; DC held at 0 in the
@@ -169,7 +170,7 @@ def admm_reference(meas, config: SolverConfig, dtype=None) -> ReconstructionResu
         b = np.zeros((2, side, side), dtype)
         iters_used, converged = config.max_iters, False
         for k in range(1, config.max_iters + 1):
-            rhs = _divergence(*b) - _divergence(*d)
+            rhs = _divergence(*(b - d))
             x = c_loop.T @ ((c_loop @ rhs @ ct_loop) * weight + pinned) @ c_loop
 
             g = np.stack(_grad(x))
@@ -177,13 +178,14 @@ def admm_reference(meas, config: SolverConfig, dtype=None) -> ReconstructionResu
             mag = np.sqrt(u[0] * u[0] + u[1] * u[1])
             shrunk = np.maximum(mag - 1.0 / MU, 0.0)
             d_new = u * (shrunk / np.maximum(mag, 1.0 / MU))
-            primal = _norm(g - d_new)
+            b, d_prev, d = u - d_new, d, d_new
+            if k != 1 and k % CHECK_EVERY != 0 and k != config.max_iters:
+                continue
+            primal = _norm(g - d)
             primal_scale = max(_norm(g), _norm(shrunk))
-            dual = MU * _norm(_divergence(*d_new) - _divergence(*d))
-            b = u - d_new
-            d = d_new
+            dual = MU * _norm(_divergence(*d) - _divergence(*d_prev))
             dual_scale = MU * _norm(_divergence(*b))
-            residuals.append((primal, primal_scale, dual, dual_scale))
+            residuals.append((k, primal, primal_scale, dual, dual_scale))
             if not all(map(math.isfinite, (primal, primal_scale, dual, dual_scale))):
                 raise SolverFailure(k, tuple(residuals))
             if primal <= config.tol * primal_scale and dual <= config.tol * dual_scale:

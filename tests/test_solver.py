@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -17,7 +18,6 @@ from cstv.solver import (
     SolverConfig,
     SolverFailure,
     _divergence_steps,
-    _dual_steps,
     _grad_steps,
     _run,
     divergence,
@@ -26,7 +26,7 @@ from cstv.solver import (
     reconstruct,
     tv,
 )
-from cstv.sweep import recover_signal
+from cstv.sweep import SweepSpec, recover_signal, run_sweep
 from cstv.transform import _dct2
 
 
@@ -85,24 +85,23 @@ def test_out_forms_match_allocating_forms_on_dirty_buffers(side):
 
 @pytest.mark.parametrize("side", [1, 2, 5, 64, 129])
 def test_stacked_divergences_and_differences_match_the_per_field_forms(side):
-    # the solver's iterations write div b and div d of the stacked pair
-    # (b, d) to slots 0 and 1, each pair of differences in one subtract, and
-    # div d to slot 2 for the next; the steps, made once and run on every
+    # every iteration writes b - d to slots 0 and 1 and its divergence to
+    # g[0]; a check writes div b and div d of the stacked pair (b, d) to
+    # slots 0 and 1 in one call; the steps, made once and run on every
     # iteration, give the bytes of the per-field forms
     rng = np.random.default_rng(side)
     fields, slots = np.full((3, 2, side, side), np.nan), np.full((3, side, side), np.nan)
-    d_prev = rng.normal(size=(2, side, side))
-    slots[2] = divergence(*d_prev)
-    steps = _dual_steps(fields, slots)
+    div_e = _divergence_steps(slots[0], slots[1], fields[0, 0])
+    div_b_and_d = _divergence_steps(fields[1:, 0], fields[1:, 1], slots[0:2])
     for _ in range(4):
         fields[1:] = rng.normal(size=(2, 2, side, side))
-        _run(steps)
-        (g, b, d), div_b, div_d = fields, divergence(*fields[1]), divergence(*fields[2])
-        assert div_b.tobytes() == _divergence(*b).tobytes() == slots[0].tobytes()
-        assert div_d.tobytes() == _divergence(*d).tobytes() == slots[1].tobytes() == slots[2].tobytes()
-        assert g[0].tobytes() == (div_b - div_d).tobytes()
-        assert g[1].tobytes() == (div_d - divergence(*d_prev)).tobytes()
-        d_prev = d.copy()
+        g, b, d = fields
+        np.subtract(b, d, slots[0:2])
+        _run(div_e)
+        assert g[0].tobytes() == divergence(*(b - d)).tobytes() == _divergence(*(b - d)).tobytes()
+        _run(div_b_and_d)
+        assert slots[0].tobytes() == divergence(*b).tobytes() == _divergence(*b).tobytes()
+        assert slots[1].tobytes() == divergence(*d).tobytes() == _divergence(*d).tobytes()
 
 
 def test_divergence_of_zero_field_is_zero():
@@ -294,8 +293,10 @@ def test_residuals_certify_the_stop():
     stopped = []
     for tol in (1e-4, 1e-12):
         result = reconstruct(meas, SolverConfig(max_iters=120, tol=tol))
-        assert len(result.residuals) == result.iters_used
-        passes = [p <= tol * ps and d <= tol * ds for p, ps, d, ds in result.residuals]
+        # one row for each check: iteration 1, every 5th and the last
+        n = result.iters_used
+        assert [row[0] for row in result.residuals] == sorted({1, *range(5, n, 5), n})
+        passes = [p <= tol * ps and d <= tol * ds for _, p, ps, d, ds in result.residuals]
         assert not any(passes[:-1])
         assert passes[-1] == result.converged
         stopped.append(result.converged)
@@ -350,7 +351,7 @@ def test_solver_failure_carries_the_residual_rows(monkeypatch):
     with pytest.raises(SolverFailure) as excinfo:
         reconstruct(meas, SolverConfig(max_iters=10))
     (row,) = excinfo.value.residuals
-    assert np.isfinite(row[0]) and np.isinf(row[2])
+    assert row[0] == 1 and np.isfinite(row[1]) and np.isinf(row[3])
 
 
 def ecg_measurements(ratio, seed, scale=1.0, n=1000):
@@ -439,6 +440,40 @@ def test_overflow_fails_at_the_reference_iteration():
     with pytest.raises(SolverFailure) as want:
         admm_reference(meas, config)
     assert got.value.iteration == want.value.iteration
+
+
+# at max_iters 6, iteration 5 is a check and the iteration before one
+@pytest.mark.parametrize("max_iters,checks", [(7, [1, 5, 7]), (6, [1, 5, 6])])
+def test_a_solve_cut_between_checks_tests_its_last_iteration(max_iters, checks):
+    config = SolverConfig(max_iters=max_iters, tol=1e-12)
+    result = assert_matches_reference(phantom_measurements(0.3, 1), config)
+    assert [row[0] for row in result.residuals] == checks
+    assert result.iters_used == max_iters and not result.converged
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_a_failure_between_checks_is_reported_at_the_next_check(monkeypatch):
+    # each solve's third gradient is made infinite; tv's gradients, in
+    # arrays of their own, stay as they are
+    def grad_steps(x, gx, gy):
+        calls = itertools.count(1)  # the loop binds its steps once per solve
+
+        def poison():
+            if next(calls) == 3:
+                gx.fill(np.inf)
+        return _grad_steps(x, gx, gy) + ([] if gx.base is None else [(poison, ())])
+
+    monkeypatch.setattr("cstv.solver._grad_steps", grad_steps)
+    with pytest.raises(SolverFailure) as excinfo:
+        reconstruct(phantom_measurements(0.3, 1), SolverConfig(max_iters=100))
+    assert excinfo.value.iteration == 5
+    first, last = excinfo.value.residuals
+    assert first[0] == 1 and all(map(math.isfinite, first))
+    assert last[0] == 5 and not all(map(math.isfinite, last))
+    # a sweep reports the row as failed at that check, not as a NaN row that converged
+    signal = Signal1D(gen_ecg_like(256, bpm=60, fs=64, seed=0).samples)
+    (row,) = run_sweep(SweepSpec(signal=signal, ratios=(0.5,), seeds=(1,), solver=SolverConfig(max_iters=100)))
+    assert np.isnan(row.mse) and not row.converged and row.iters_used == 5
 
 
 def test_back_to_back_solves_of_different_sides_share_no_state():
