@@ -41,9 +41,9 @@ No array is made after setup, nor a view outside the DCT pair: the loop
 (:func:`_iterate`) binds its steps' calls to views once per solve, as
 :func:`grad` and :func:`divergence` bind theirs, and runs them every
 iteration.  The x-update's right-hand side is one divergence, of b - d.
-A check takes div b and div d in one call over the stacked pair, and the
-iteration before it div d_prev, so that the dual residual is their
-difference.  The norms are BLAS dot products.
+A check takes div b and div d in one set of calls over the stacked pair;
+the iteration before it takes div d, the check's div d_prev, so that the
+dual residual is one difference.  The norms are BLAS dot products.
 """
 
 from __future__ import annotations
